@@ -9,276 +9,84 @@
 //! in the best case on this fabric).
 
 use crate::config::NocConfig;
-use crate::message::VirtualNetwork;
-use crate::router::{
-    dir_link, ActiveSet, Arrival, Buffered, FabricEngine, FlightInfo, InputBuffers, LinkOccupancy,
-    RoundRobin,
-};
-use crate::stats::FabricCounters;
-use crate::topology::{Direction, Mesh, NodeId};
-
-const PORTS: usize = 5;
-
-/// Lanes per router: 5 input ports x 5 virtual networks.
-const LANES: usize = PORTS * VirtualNetwork::ALL.len();
-
-/// One switch-allocation winner of the current cycle: the head of lane
-/// (`port`, `vn`) at `node` moves out through `out` to `next`.
-#[derive(Debug, Clone, Copy)]
-struct Move {
-    node: NodeId,
-    port: usize,
-    vn: VirtualNetwork,
-    out: Direction,
-    next: NodeId,
-}
+use crate::router::{Arrival, Backpressure, Buffered, FabricEngine, RouterCore};
 
 /// The conventional-router fabric engine.
 #[derive(Debug)]
 pub struct ConventionalFabric {
-    cfg: NocConfig,
-    mesh: Mesh,
-    buffers: Vec<InputBuffers>,
-    /// Routers currently holding at least one buffered packet.
-    active: ActiveSet,
-    arbiters: Vec<RoundRobin>,
-    links: LinkOccupancy,
-    in_flight: usize,
-    counters: FabricCounters,
-    // Persistent per-tick scratch (steady state must not allocate).
-    move_scratch: Vec<Move>,
-    /// Downstream buffer slots reserved by earlier winners this cycle,
-    /// indexed by `(node, port, vn)`; only the dirtied entries are reset.
-    reserved_scratch: Vec<u8>,
-    reserved_dirty: Vec<usize>,
-    cand_scratch: [[usize; LANES]; 4],
-    meta_scratch: [(usize, VirtualNetwork); LANES],
+    core: RouterCore,
+    /// Downstream buffer space and this cycle's switch-allocation winners.
+    grants: Backpressure,
 }
 
 impl ConventionalFabric {
     /// Builds the fabric for the given configuration.
     pub fn new(cfg: NocConfig) -> Self {
-        let mesh = cfg.mesh;
-        let nodes = mesh.len();
         ConventionalFabric {
-            cfg,
-            mesh,
-            buffers: (0..nodes)
-                .map(|_| InputBuffers::new(PORTS, cfg.vn_buffer_capacity()))
-                .collect(),
-            active: ActiveSet::new(nodes),
-            arbiters: (0..nodes * PORTS).map(|_| RoundRobin::new()).collect(),
-            links: LinkOccupancy::new(nodes, PORTS),
-            in_flight: 0,
-            counters: FabricCounters::default(),
-            move_scratch: Vec::new(),
-            reserved_scratch: vec![0; nodes * PORTS * VirtualNetwork::ALL.len()],
-            reserved_dirty: Vec::new(),
-            cand_scratch: [[0; LANES]; 4],
-            meta_scratch: [(0, VirtualNetwork::Request); LANES],
+            core: RouterCore::new(&cfg, 1, false),
+            grants: Backpressure::new(&cfg, false),
         }
-    }
-
-    fn output_for(&self, at: NodeId, flight: &FlightInfo) -> Option<Direction> {
-        self.mesh.xy_next_dir(at, flight.dest)
     }
 }
 
 impl FabricEngine for ConventionalFabric {
-    fn can_accept(&self, node: NodeId, vn: VirtualNetwork) -> bool {
-        self.buffers[node.index()].has_space(Direction::Local.index(), vn)
+    fn core(&self) -> &RouterCore {
+        &self.core
     }
 
-    fn inject(&mut self, flight: FlightInfo, now: u64) {
-        self.buffers[flight.src.index()].push(
-            Direction::Local.index(),
-            flight.vn,
-            Buffered {
-                flight,
-                ready_at: now + 1,
-            },
-        );
-        self.active.set(flight.src.index());
-        self.in_flight += 1;
-        self.counters.buffer_writes += 1;
+    fn core_mut(&mut self) -> &mut RouterCore {
+        &mut self.core
     }
 
     fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>) {
         // All fabric packets live in router buffers between ticks; an empty
         // fabric has nothing to arbitrate and nothing to move.
-        if self.in_flight == 0 {
+        if self.core.in_flight() == 0 {
             return;
         }
-
         // Switch allocation: for every router and output direction, pick one
-        // ready head packet among the input lanes requesting that output,
-        // check link and downstream buffer availability, then move it.
-        //
-        // Moves are computed first and applied afterwards so that a packet
-        // moved this cycle cannot be moved again within the same cycle. A
-        // single pass over each active router's occupied lanes buckets the
-        // candidates per output direction (a head's route does not depend on
-        // the direction being arbitrated); bucket order equals lane order,
-        // so round-robin outcomes match the naive one-scan-per-direction
-        // formulation bit for bit.
-        let mut moves = std::mem::take(&mut self.move_scratch);
-        debug_assert!(moves.is_empty() && self.reserved_dirty.is_empty());
-        let reserve_idx = |node: NodeId, port: usize, vn: VirtualNetwork| {
-            (node.index() * PORTS + port) * VirtualNetwork::ALL.len() + vn.index()
-        };
-
-        for node_idx in self.active.iter() {
-            let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            debug_assert!(!bufs.is_empty(), "active set out of sync");
-            let mut cand_len = [0usize; 4];
-            for (lane_idx, port, vn) in bufs.occupied_lanes() {
-                let head = bufs.head(port, vn).expect("occupied lane has a head");
-                if head.ready_at > now {
-                    continue;
-                }
-                let Some(out) = self.output_for(node, &head.flight) else {
-                    continue;
-                };
-                if !self.links.is_free(node, dir_link(out), now) {
-                    continue;
-                }
-                let Some(next) = self.mesh.neighbor(node, out) else {
-                    continue;
-                };
-                // Check downstream buffer space at the opposite input port
-                // of the neighbour, including space already reserved this
-                // cycle.
-                let dport = out.opposite().index();
-                let occ = self.buffers[next.index()].occupancy(dport, vn)
-                    + self.reserved_scratch[reserve_idx(next, dport, vn)] as usize;
-                if occ >= self.cfg.vn_buffer_capacity() {
-                    continue;
-                }
-                let d = out.index();
-                self.cand_scratch[d][cand_len[d]] = lane_idx;
-                cand_len[d] += 1;
-                self.meta_scratch[lane_idx] = (port, vn);
-            }
-            for out in Direction::CARDINAL {
-                let d = out.index();
-                if cand_len[d] == 0 {
-                    continue;
-                }
-                let arb = &mut self.arbiters[node_idx * PORTS + dir_link(out)];
-                if let Some(winner) = arb.pick(&self.cand_scratch[d][..cand_len[d]], LANES) {
-                    let (port, vn) = self.meta_scratch[winner];
-                    let next = self.mesh.neighbor(node, out).expect("candidate had a neighbor");
-                    let dport = out.opposite().index();
-                    let ridx = reserve_idx(next, dport, vn);
-                    self.reserved_scratch[ridx] += 1;
-                    self.reserved_dirty.push(ridx);
-                    moves.push(Move {
-                        node,
-                        port,
-                        vn,
-                        out,
-                        next,
-                    });
-                }
-            }
-        }
-
-        for mv in moves.drain(..) {
-            let buffered = self.buffers[mv.node.index()]
-                .pop(mv.port, mv.vn)
-                .expect("winner packet present");
-            if self.buffers[mv.node.index()].is_empty() {
-                self.active.clear(mv.node.index());
-            }
-            let flight = buffered.flight;
-            let flits = flight.flits as u64;
-            // Event accounting: one buffer read + one crossbar pass at the
-            // winning router, one link crossed flit by flit, one latch at
-            // the downstream router.
-            self.counters.buffer_reads += 1;
-            self.counters.crossbar_traversals += 1;
-            self.counters.link_flit_hops += flits;
-            self.counters.stop_hops += 1;
+        // ready head whose link is free and whose neighbour has buffer space.
+        // Moves are granted first and applied afterwards so that a packet
+        // moved this cycle cannot be moved again within the same cycle.
+        self.core.allocate(now, &mut self.grants);
+        for (node, lane) in self.grants.grants.drain(..) {
+            let Buffered { flight, route, .. } = self.core.pop(node, lane);
+            let flits = u64::from(flight.flits);
+            // Event accounting: one buffer read (in `pop`) + one crossbar
+            // pass at the winning router, one link crossed flit by flit, one
+            // latch at the downstream router.
+            let c = &mut self.core.counters;
+            c.crossbar_traversals += 1;
+            c.link_flit_hops += flits;
+            c.stop_hops += 1;
             // The output link is held for the full packet length.
-            self.links
-                .occupy(mv.node, dir_link(mv.out), now + flits);
+            self.core
+                .links
+                .occupy(node, usize::from(route.link), now + flits);
             // 1 cycle in the router (already spent winning SA this cycle) +
             // 1 cycle link traversal + serialization of the tail flits.
             let arrival_cycle = now + 1 + (flits - 1);
-            if mv.next == flight.dest {
-                let mut f = flight;
-                f.stops += 1;
-                self.in_flight -= 1;
-                arrivals.push(Arrival {
-                    flight: f,
-                    at: mv.next,
-                    now: arrival_cycle + 1,
-                });
-            } else {
-                let mut f = flight;
-                f.stops += 1;
-                self.counters.buffer_writes += 1;
-                self.buffers[mv.next.index()].push(
-                    mv.out.opposite().index(),
-                    mv.vn,
-                    Buffered {
-                        flight: f,
-                        ready_at: arrival_cycle + 1,
-                    },
-                );
-                self.active.set(mv.next.index());
-            }
+            self.core.land(
+                flight,
+                route.landing,
+                route.dir.opposite(),
+                arrival_cycle + 1,
+                arrival_cycle + 1,
+                arrivals,
+            );
         }
-        self.move_scratch = moves;
-        while let Some(ridx) = self.reserved_dirty.pop() {
-            self.reserved_scratch[ridx] = 0;
-        }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // A head packet can move no earlier than when it is switch-eligible
-        // AND its requested output link is free; everything else (downstream
-        // space, arbitration) can only *delay* it further, and a tick at
-        // which no candidate exists changes no state, so the minimum over
-        // all heads is a safe wake-up cycle.
-        let mut next: Option<u64> = None;
-        for node_idx in self.active.iter() {
-            let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            for (_, port, vn) in bufs.occupied_lanes() {
-                let head = bufs.head(port, vn).expect("occupied lane has a head");
-                let Some(out) = self.output_for(node, &head.flight) else {
-                    continue;
-                };
-                let e = head
-                    .ready_at
-                    .max(self.links.free_at(node, dir_link(out)))
-                    .max(now);
-                if e == now {
-                    return Some(now);
-                }
-                next = Some(next.map_or(e, |n| n.min(e)));
-            }
-        }
-        next
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    fn counters(&self) -> &FabricCounters {
-        &self.counters
+        self.grants.reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::PacketId;
+    use crate::message::VirtualNetwork;
+    use crate::router::{FlightInfo, PacketId};
+    use crate::topology::NodeId;
 
-    fn flight(id: u64, src: u16, dest: u16, flits: u32, injected: u64) -> FlightInfo {
+    fn flight(id: u32, src: u16, dest: u16, flits: u32, injected: u64) -> FlightInfo {
         FlightInfo {
             id: PacketId(id),
             src: NodeId(src),

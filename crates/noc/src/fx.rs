@@ -4,8 +4,8 @@
 //! depend on `rustc-hash`/`fxhash`. This module reimplements the same
 //! multiply-rotate construction (the hash Firefox and rustc use for their
 //! internal tables): it is not DoS-resistant, but the keys here are
-//! simulator-internal ([`crate::router::PacketId`]s, line addresses, node
-//! ids), so speed and *determinism* are what matter. Unlike
+//! simulator-internal (line addresses, node ids), so speed and
+//! *determinism* are what matter. Unlike
 //! `std::collections::HashMap`'s default `RandomState`, two maps built with
 //! [`FxBuildHasher`] always hash — and therefore iterate — identically, which
 //! the cycle-skipping equivalence guarantee in `loco-sim` relies on.

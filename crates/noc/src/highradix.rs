@@ -11,292 +11,98 @@
 //! turn.
 
 use crate::config::NocConfig;
-use crate::message::VirtualNetwork;
-use crate::router::{
-    ActiveSet, Arrival, Buffered, FabricEngine, FlightInfo, InputBuffers, LinkOccupancy, RoundRobin,
-};
-use crate::stats::FabricCounters;
-use crate::topology::{Direction, Mesh, NodeId};
-
-/// Input ports: 4 directions x HPCmax spans + 1 local. We fold all spans of a
-/// direction into one input port (they share an input buffer pool) but keep
-/// per-span output links for bandwidth accounting, which matches the "4x
-/// higher bisection throughput" property the paper ascribes to this design.
-const PORTS: usize = 5;
-
-/// Lanes per router: 5 input ports x 5 virtual networks.
-const LANES: usize = PORTS * VirtualNetwork::ALL.len();
-
-/// One switch-allocation winner of the current cycle.
-#[derive(Debug, Clone, Copy)]
-struct Move {
-    node: NodeId,
-    port: usize,
-    vn: VirtualNetwork,
-    dir: Direction,
-    span: u16,
-}
+use crate::router::{Arrival, Backpressure, Buffered, FabricEngine, RouterCore};
 
 /// The high-radix (Flattened-Butterfly-like) fabric engine.
+///
+/// All spans of a direction fold into one input port (they share an input
+/// buffer pool), but every (direction, span) has its own output link for
+/// bandwidth accounting, which matches the "4x higher bisection throughput"
+/// property the paper ascribes to this design.
 #[derive(Debug)]
 pub struct HighRadixFabric {
-    cfg: NocConfig,
-    mesh: Mesh,
-    buffers: Vec<InputBuffers>,
-    /// Routers currently holding at least one buffered packet.
-    active: ActiveSet,
-    arbiters: Vec<RoundRobin>,
-    /// One link slot per (direction, span).
-    links: LinkOccupancy,
-    in_flight: usize,
-    counters: FabricCounters,
-    // Persistent per-tick scratch (steady state must not allocate).
-    move_scratch: Vec<Move>,
-    /// Downstream buffer slots reserved by earlier winners this cycle,
-    /// indexed by `(node, port, vn)`; only the dirtied entries are reset.
-    reserved_scratch: Vec<u8>,
-    reserved_dirty: Vec<usize>,
-    cand_scratch: [[usize; LANES]; 4],
-    meta_scratch: [(usize, VirtualNetwork, u16); LANES],
+    router_pipeline: u8,
+    core: RouterCore,
+    /// Downstream buffer space and this cycle's switch-allocation winners.
+    grants: Backpressure,
 }
 
 impl HighRadixFabric {
     /// Builds the fabric for the given configuration.
     pub fn new(cfg: NocConfig) -> Self {
-        let mesh = cfg.mesh;
-        let nodes = mesh.len();
-        let links_per_node = 4 * cfg.hpc_max as usize;
         HighRadixFabric {
-            cfg,
-            mesh,
-            buffers: (0..nodes)
-                .map(|_| InputBuffers::new(PORTS, cfg.vn_buffer_capacity()))
-                .collect(),
-            active: ActiveSet::new(nodes),
-            arbiters: (0..nodes * 4).map(|_| RoundRobin::new()).collect(),
-            links: LinkOccupancy::new(nodes, links_per_node),
-            in_flight: 0,
-            counters: FabricCounters::default(),
-            move_scratch: Vec::new(),
-            reserved_scratch: vec![0; nodes * PORTS * VirtualNetwork::ALL.len()],
-            reserved_dirty: Vec::new(),
-            cand_scratch: [[0; LANES]; 4],
-            meta_scratch: [(0, VirtualNetwork::Request, 0); LANES],
+            router_pipeline: cfg.router_pipeline,
+            core: RouterCore::new(&cfg, cfg.hpc_max, true),
+            // A packet landing at its destination ejects, so it needs no
+            // downstream buffer slot.
+            grants: Backpressure::new(&cfg, true),
         }
-    }
-
-    fn link_slot(&self, dir: Direction, span: u16) -> usize {
-        debug_assert!(span >= 1 && span <= self.cfg.hpc_max);
-        dir.index() * self.cfg.hpc_max as usize + (span as usize - 1)
-    }
-
-    /// Output direction and express-link span (up to `hpc_max`) for `flight`
-    /// sitting at `at`, following XY ordering.
-    fn desired(&self, at: NodeId, flight: &FlightInfo) -> Option<(Direction, u16)> {
-        let dir = self.mesh.xy_next_dir(at, flight.dest)?;
-        let here = self.mesh.coord(at);
-        let there = self.mesh.coord(flight.dest);
-        let remaining = if dir.is_horizontal() {
-            here.x.abs_diff(there.x)
-        } else {
-            here.y.abs_diff(there.y)
-        };
-        Some((dir, remaining.min(self.cfg.hpc_max)))
     }
 }
 
 impl FabricEngine for HighRadixFabric {
-    fn can_accept(&self, node: NodeId, vn: VirtualNetwork) -> bool {
-        self.buffers[node.index()].has_space(Direction::Local.index(), vn)
+    fn core(&self) -> &RouterCore {
+        &self.core
     }
 
-    fn inject(&mut self, flight: FlightInfo, now: u64) {
-        self.buffers[flight.src.index()].push(
-            Direction::Local.index(),
-            flight.vn,
-            Buffered {
-                flight,
-                ready_at: now + 1,
-            },
-        );
-        self.active.set(flight.src.index());
-        self.in_flight += 1;
-        self.counters.buffer_writes += 1;
+    fn core_mut(&mut self) -> &mut RouterCore {
+        &mut self.core
     }
 
     fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>) {
         // All fabric packets live in router buffers between ticks; an empty
         // fabric has nothing to arbitrate and nothing to move.
-        if self.in_flight == 0 {
+        if self.core.in_flight() == 0 {
             return;
         }
-
         // One arbitration per output *direction*; the winner then uses the
         // express link matching its span. This under-uses the extra
         // bandwidth slightly but keeps the multi-stage arbiter abstraction
-        // honest (a single input can only feed one output per cycle). A
-        // single pass over each active router's occupied lanes buckets the
-        // candidates per direction in lane order, so round-robin outcomes
-        // match the naive one-scan-per-direction formulation bit for bit.
-        let mut moves = std::mem::take(&mut self.move_scratch);
-        debug_assert!(moves.is_empty() && self.reserved_dirty.is_empty());
-        let reserve_idx = |node: NodeId, port: usize, vn: VirtualNetwork| {
-            (node.index() * PORTS + port) * VirtualNetwork::ALL.len() + vn.index()
-        };
-
-        for node_idx in self.active.iter() {
-            let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            debug_assert!(!bufs.is_empty(), "active set out of sync");
-            let mut cand_len = [0usize; 4];
-            for (lane_idx, port, vn) in bufs.occupied_lanes() {
-                let head = bufs.head(port, vn).expect("occupied lane has a head");
-                if head.ready_at > now {
-                    continue;
-                }
-                let Some((d, span)) = self.desired(node, &head.flight) else {
-                    continue;
-                };
-                if span == 0 || !self.links.is_free(node, self.link_slot(d, span), now) {
-                    continue;
-                }
-                let landing = self.mesh.advance(node, d, span);
-                let dport = d.opposite().index();
-                let occ = self.buffers[landing.index()].occupancy(dport, vn)
-                    + self.reserved_scratch[reserve_idx(landing, dport, vn)] as usize;
-                if landing != head.flight.dest && occ >= self.cfg.vn_buffer_capacity() {
-                    continue;
-                }
-                let di = d.index();
-                self.cand_scratch[di][cand_len[di]] = lane_idx;
-                cand_len[di] += 1;
-                self.meta_scratch[lane_idx] = (port, vn, span);
-            }
-            for dir in Direction::CARDINAL {
-                let di = dir.index();
-                if cand_len[di] == 0 {
-                    continue;
-                }
-                let arb = &mut self.arbiters[node_idx * 4 + dir.index()];
-                if let Some(winner) = arb.pick(&self.cand_scratch[di][..cand_len[di]], LANES) {
-                    let (port, vn, span) = self.meta_scratch[winner];
-                    let landing = self.mesh.advance(node, dir, span);
-                    let dport = dir.opposite().index();
-                    let ridx = reserve_idx(landing, dport, vn);
-                    self.reserved_scratch[ridx] += 1;
-                    self.reserved_dirty.push(ridx);
-                    moves.push(Move {
-                        node,
-                        port,
-                        vn,
-                        dir,
-                        span,
-                    });
-                }
-            }
-        }
-
-        for mv in moves.drain(..) {
-            let buffered = self.buffers[mv.node.index()]
-                .pop(mv.port, mv.vn)
-                .expect("winner packet present");
-            if self.buffers[mv.node.index()].is_empty() {
-                self.active.clear(mv.node.index());
-            }
-            let mut flight = buffered.flight;
-            let flits = flight.flits as u64;
-            // Event accounting: one buffer read and one (multi-stage)
-            // crossbar pass at the winning router, one express link whose
-            // wire spans `span` mesh hops, a full pipeline pass and a latch
-            // at the landing router.
-            self.counters.buffer_reads += 1;
-            self.counters.crossbar_traversals += 1;
-            self.counters.express_traversals += 1;
-            self.counters.link_flit_hops += u64::from(mv.span) * flits;
-            self.counters.pipeline_passes += 1;
-            self.counters.stop_hops += 1;
-            self.links
-                .occupy(mv.node, self.link_slot(mv.dir, mv.span), now + flits);
-            let landing = self.mesh.advance(mv.node, mv.dir, mv.span);
+        // honest (a single input can only feed one output per cycle).
+        self.core.allocate(now, &mut self.grants);
+        for (node, lane) in self.grants.grants.drain(..) {
+            let Buffered { flight, route, .. } = self.core.pop(node, lane);
+            let flits = u64::from(flight.flits);
+            // Event accounting: one buffer read (in `pop`) and one
+            // (multi-stage) crossbar pass at the winning router, one express
+            // link whose wire spans `hops` mesh hops, a full pipeline pass
+            // and a latch at the landing router.
+            let c = &mut self.core.counters;
+            c.crossbar_traversals += 1;
+            c.express_traversals += 1;
+            c.link_flit_hops += u64::from(route.hops) * flits;
+            c.pipeline_passes += 1;
+            c.stop_hops += 1;
+            self.core
+                .links
+                .occupy(node, usize::from(route.link), now + flits);
             // The multi-stage router pipeline is charged at the *downstream*
             // stop (the packet must go through the full pipeline before it
             // can be switched again or ejected), plus one link cycle and
             // serialization.
-            let pipeline = u64::from(self.cfg.router_pipeline);
-            let arrival_cycle = now + 1 + (flits - 1) + pipeline;
-            flight.stops += 1;
-            if landing == flight.dest {
-                self.in_flight -= 1;
-                arrivals.push(Arrival {
-                    flight,
-                    at: landing,
-                    now: arrival_cycle,
-                });
-            } else {
-                self.counters.buffer_writes += 1;
-                self.buffers[landing.index()].push(
-                    mv.dir.opposite().index(),
-                    mv.vn,
-                    Buffered {
-                        flight,
-                        ready_at: arrival_cycle + 1,
-                    },
-                );
-                self.active.set(landing.index());
-            }
+            let arrival_cycle = now + 1 + (flits - 1) + u64::from(self.router_pipeline);
+            self.core.land(
+                flight,
+                route.landing,
+                route.dir.opposite(),
+                arrival_cycle,
+                arrival_cycle + 1,
+                arrivals,
+            );
         }
-        self.move_scratch = moves;
-        while let Some(ridx) = self.reserved_dirty.pop() {
-            self.reserved_scratch[ridx] = 0;
-        }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // Same shape as the other engines: a head is eligible once it is
-        // ready and the express link matching its span is free; the
-        // downstream-occupancy check can only delay a move further, and a
-        // candidate-free tick is a no-op, so this minimum is a safe wake-up.
-        let mut next: Option<u64> = None;
-        for node_idx in self.active.iter() {
-            let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            for (_, port, vn) in bufs.occupied_lanes() {
-                let head = bufs.head(port, vn).expect("occupied lane has a head");
-                let Some((dir, span)) = self.desired(node, &head.flight) else {
-                    continue;
-                };
-                if span == 0 {
-                    continue;
-                }
-                let e = head
-                    .ready_at
-                    .max(self.links.free_at(node, self.link_slot(dir, span)))
-                    .max(now);
-                if e == now {
-                    return Some(now);
-                }
-                next = Some(next.map_or(e, |n| n.min(e)));
-            }
-        }
-        next
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    fn counters(&self) -> &FabricCounters {
-        &self.counters
+        self.grants.reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::PacketId;
+    use crate::message::VirtualNetwork;
+    use crate::router::{FlightInfo, PacketId};
     use crate::smart::SmartFabric;
+    use crate::topology::NodeId;
 
-    fn flight(id: u64, src: u16, dest: u16, flits: u32) -> FlightInfo {
+    fn flight(id: u32, src: u16, dest: u16, flits: u32) -> FlightInfo {
         FlightInfo {
             id: PacketId(id),
             src: NodeId(src),

@@ -23,6 +23,14 @@
 //! reproduce the latency/contention trends of the paper while keeping the
 //! simulator tractable (see `DESIGN.md` §9).
 //!
+//! The three fabric engines ([`conventional`], [`smart`], [`highradix`])
+//! share one [`router::RouterCore`]. It holds the buffers, the arbiters and
+//! the link occupancy, and it runs the switch-allocation scan and the
+//! `next_event` probe. Each engine adds only its policy: the reach of a
+//! route, an extra eligibility check, and the traversal of the winners. A
+//! head's route depends only on (router, destination), so it is computed
+//! once, when the packet is buffered (`DESIGN.md` §5).
+//!
 //! ## Quick example
 //!
 //! ```rust

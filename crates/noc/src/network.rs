@@ -3,7 +3,6 @@
 
 use crate::config::{NocConfig, RouterKind};
 use crate::conventional::ConventionalFabric;
-use crate::fx::FxHashMap;
 use crate::highradix::HighRadixFabric;
 use crate::message::{Delivered, Destination, MulticastGroupId, NetMessage, VirtualNetwork};
 use crate::router::{Arrival, FabricEngine, FlightInfo, PacketId};
@@ -113,8 +112,10 @@ pub struct Network<P> {
     fabric: Fabric,
     cycle: u64,
     groups: Vec<MulticastTree>,
-    packets: FxHashMap<PacketId, PacketRecord<P>>,
-    next_packet: u64,
+    /// Payloads of the packets inside the network, indexed by [`PacketId`]:
+    /// a slab whose vacated slots are recycled through `free_ids`.
+    packets: Vec<Option<PacketRecord<P>>>,
+    free_ids: Vec<u32>,
     pending: BinaryHeap<Reverse<QueuedArrival>>,
     next_arrival_seq: u64,
     /// Scratch buffer handed to the fabric each tick (avoids a per-cycle
@@ -148,8 +149,8 @@ impl<P: Clone> Network<P> {
             fabric,
             cycle: 0,
             groups: Vec::new(),
-            packets: FxHashMap::default(),
-            next_packet: 0,
+            packets: Vec::new(),
+            free_ids: Vec::new(),
             pending: BinaryHeap::new(),
             next_arrival_seq: 0,
             arrivals_scratch: Vec::new(),
@@ -236,15 +237,14 @@ impl<P: Clone> Network<P> {
                     return Err(InjectError(msg));
                 }
                 self.stats.injected_messages += 1;
-                let flight = self.new_flight(&msg, msg.src, dest, 0);
-                self.packets.insert(
-                    flight.id,
+                let flight = self.fresh_flight(&msg, dest);
+                self.launch(
                     PacketRecord {
                         msg,
                         travelling: None,
                     },
+                    flight,
                 );
-                self.fabric.as_engine().inject(flight, self.cycle);
                 Ok(())
             }
             Destination::Multicast(group) => {
@@ -261,36 +261,54 @@ impl<P: Clone> Network<P> {
                     msg.src
                 );
                 self.stats.injected_messages += 1;
-                let children = self.groups[group.0 as usize].children(msg.src, None);
-                for (dir, next) in children {
-                    let flight = self.new_flight(&msg, msg.src, next, 0);
-                    self.packets.insert(
-                        flight.id,
+                for (dir, next) in self.groups[group.0 as usize].children(msg.src, None) {
+                    let flight = self.fresh_flight(&msg, next);
+                    self.stats.multicast_forks += 1;
+                    self.launch(
                         PacketRecord {
                             msg: msg.clone(),
                             travelling: Some(dir),
                         },
+                        flight,
                     );
-                    self.stats.multicast_forks += 1;
-                    self.fabric.as_engine().inject(flight, self.cycle);
                 }
                 Ok(())
             }
         }
     }
 
-    fn new_flight(&mut self, msg: &NetMessage<P>, src: NodeId, dest: NodeId, stops: u32) -> FlightInfo {
-        let id = PacketId(self.next_packet);
-        self.next_packet += 1;
+    /// The flight of `msg` leaving its source for `dest` this cycle (its id
+    /// is assigned by [`Network::launch`]).
+    fn fresh_flight(&self, msg: &NetMessage<P>, dest: NodeId) -> FlightInfo {
         FlightInfo {
-            id,
-            src,
+            id: PacketId(0),
+            src: msg.src,
             dest,
             vn: msg.vn,
             flits: self.cfg.flits_for(msg.size_bytes),
             injected_at: self.cycle,
-            stops,
+            stops: 0,
         }
+    }
+
+    /// Stores `record` in a free packet-table slot and injects `flight`
+    /// under that slot's id.
+    fn launch(&mut self, record: PacketRecord<P>, flight: FlightInfo) {
+        let slot = match self.free_ids.pop() {
+            Some(slot) => {
+                self.packets[slot as usize] = Some(record);
+                slot
+            }
+            None => {
+                self.packets.push(Some(record));
+                (self.packets.len() - 1) as u32
+            }
+        };
+        let flight = FlightInfo {
+            id: PacketId(slot),
+            ..flight
+        };
+        self.fabric.as_engine().inject(flight, self.cycle);
     }
 
     /// Advances the network by one cycle.
@@ -381,36 +399,29 @@ impl<P: Clone> Network<P> {
     }
 
     fn complete(&mut self, arrival: Arrival) {
-        let record = self
-            .packets
-            .remove(&arrival.flight.id)
+        let slot = arrival.flight.id.0;
+        let record = self.packets[slot as usize]
+            .take()
             .expect("arrival for unknown packet");
+        self.free_ids.push(slot);
         let latency = arrival.now.saturating_sub(arrival.flight.injected_at);
         self.stats
             .record_delivery(record.msg.vn, latency, arrival.flight.stops);
         // Multicast: spawn children before delivering this copy.
         if let (Destination::Multicast(group), Some(dir)) = (record.msg.dest, record.travelling) {
-            let children = self.groups[group.0 as usize].children(arrival.at, Some(dir));
-            for (cdir, next) in children {
-                let flight = FlightInfo {
-                    id: PacketId(self.next_packet),
-                    src: arrival.at,
-                    dest: next,
-                    vn: record.msg.vn,
-                    flits: arrival.flight.flits,
-                    injected_at: arrival.flight.injected_at,
-                    stops: arrival.flight.stops,
-                };
-                self.next_packet += 1;
-                self.packets.insert(
-                    flight.id,
+            for (cdir, next) in self.groups[group.0 as usize].children(arrival.at, Some(dir)) {
+                self.stats.multicast_forks += 1;
+                self.launch(
                     PacketRecord {
                         msg: record.msg.clone(),
                         travelling: Some(cdir),
                     },
+                    FlightInfo {
+                        src: arrival.at,
+                        dest: next,
+                        ..arrival.flight
+                    },
                 );
-                self.stats.multicast_forks += 1;
-                self.fabric.as_engine().inject(flight, self.cycle);
             }
         }
         let delivered = Delivered {
@@ -494,7 +505,7 @@ impl<P> fmt::Debug for Network<P> {
         f.debug_struct("Network")
             .field("cfg", &self.cfg)
             .field("cycle", &self.cycle)
-            .field("in_flight", &self.packets.len())
+            .field("in_flight", &(self.packets.len() - self.free_ids.len()))
             .finish_non_exhaustive()
     }
 }

@@ -13,190 +13,101 @@
 //! the best-case latency is 2 cycles per SMART-hop (SSR, then ST+LT).
 
 use crate::config::NocConfig;
-use crate::message::VirtualNetwork;
-use crate::router::{
-    dir_link, ActiveSet, Arrival, Buffered, FabricEngine, FlightInfo, InputBuffers, LinkOccupancy,
-    RoundRobin,
-};
-use crate::stats::FabricCounters;
-use crate::topology::{Direction, Mesh, NodeId};
+use crate::router::{Arrival, Buffered, FabricEngine, RouterCore, SwitchPolicy};
+use crate::topology::{Direction, NodeId};
 
-const PORTS: usize = 5;
-
-/// A granted SMART Setup Request: `flight` intends to leave `start` in
-/// direction `dir` and travel `want_hops` hops this cycle.
+/// A granted SMART Setup Request: the head of `lane` at `start` intends to
+/// leave in direction `dir` and travel `want_hops` hops this cycle.
 #[derive(Debug, Clone, Copy)]
 struct Ssr {
-    flight: FlightInfo,
     start: NodeId,
-    port: usize,
+    lane: usize,
     dir: Direction,
     want_hops: u16,
 }
 
-/// Lanes per router: 5 input ports x 5 virtual networks.
-const LANES: usize = PORTS * VirtualNetwork::ALL.len();
+/// Phase 1 of SMART has no eligibility check beyond a ready head and a free
+/// first link; every winner becomes an SSR.
+#[derive(Debug, Default)]
+struct SsrGrants(Vec<Ssr>);
+
+impl SwitchPolicy for SsrGrants {
+    fn grant(&mut self, start: NodeId, lane: usize, head: &Buffered) {
+        self.0.push(Ssr {
+            start,
+            lane,
+            dir: head.route.dir,
+            want_hops: head.route.hops,
+        });
+    }
+}
 
 /// The SMART-NoC fabric engine.
 #[derive(Debug)]
 pub struct SmartFabric {
-    cfg: NocConfig,
-    mesh: Mesh,
-    buffers: Vec<InputBuffers>,
-    /// Routers currently holding at least one buffered packet.
-    active: ActiveSet,
-    arbiters: Vec<RoundRobin>,
-    links: LinkOccupancy,
-    in_flight: usize,
-    counters: FabricCounters,
+    hpc_max: u16,
+    core: RouterCore,
     // Persistent per-tick scratch (the per-cycle tick is the simulator's
     // hottest loop; steady state must not allocate).
-    ssr_scratch: Vec<Ssr>,
+    ssrs: SsrGrants,
+    /// `claimed[node * 4 + dir]`: the link leaving `node` in `dir` has been
+    /// claimed this cycle; only the dirtied entries are reset.
     claimed_scratch: Vec<bool>,
     claimed_dirty: Vec<usize>,
     travel_scratch: Vec<u16>,
     active_scratch: Vec<bool>,
-    /// Per-direction switch-allocation candidates (lane indices) of the
-    /// router currently being scanned; only `cand_len` entries are live, so
-    /// the buffer needs no per-router re-initialization.
-    cand_scratch: [[usize; LANES]; 4],
-    /// Lane metadata of the router currently being scanned, valid only for
-    /// lanes listed in `cand_scratch`.
-    meta_scratch: [(usize, VirtualNetwork, u16); LANES],
 }
 
 impl SmartFabric {
     /// Builds the fabric for the given configuration.
     pub fn new(cfg: NocConfig) -> Self {
-        let mesh = cfg.mesh;
-        let nodes = mesh.len();
         SmartFabric {
-            cfg,
-            mesh,
-            buffers: (0..nodes)
-                .map(|_| InputBuffers::new(PORTS, cfg.vn_buffer_capacity()))
-                .collect(),
-            active: ActiveSet::new(nodes),
-            arbiters: (0..nodes * PORTS).map(|_| RoundRobin::new()).collect(),
-            links: LinkOccupancy::new(nodes, PORTS),
-            in_flight: 0,
-            counters: FabricCounters::default(),
-            ssr_scratch: Vec::new(),
-            claimed_scratch: vec![false; nodes * 4],
+            hpc_max: cfg.hpc_max,
+            // A SMART-hop covers the rest of the current dimension up to
+            // HPCmax (SMART-1D stops at the turn router); one link per
+            // direction.
+            core: RouterCore::new(&cfg, cfg.hpc_max, false),
+            ssrs: SsrGrants::default(),
+            claimed_scratch: vec![false; cfg.mesh.len() * 4],
             claimed_dirty: Vec::new(),
             travel_scratch: Vec::new(),
             active_scratch: Vec::new(),
-            cand_scratch: [[0; LANES]; 4],
-            meta_scratch: [(0, VirtualNetwork::Request, 0); LANES],
         }
     }
 
     /// Number of times a flit was stopped before completing its intended
     /// SMART-hop because it lost SSR arbitration to a nearer flit.
     pub fn premature_stops(&self) -> u64 {
-        self.counters.premature_stops
-    }
-
-    /// Desired output direction and hop count for `flight` sitting at `at`:
-    /// the remaining distance in the current XY dimension, clamped to
-    /// `HPCmax` (SMART-1D stops at the turn router).
-    fn desired(&self, at: NodeId, flight: &FlightInfo) -> Option<(Direction, u16)> {
-        let dir = self.mesh.xy_next_dir(at, flight.dest)?;
-        let here = self.mesh.coord(at);
-        let there = self.mesh.coord(flight.dest);
-        let remaining = if dir.is_horizontal() {
-            here.x.abs_diff(there.x)
-        } else {
-            here.y.abs_diff(there.y)
-        };
-        Some((dir, remaining.min(self.cfg.hpc_max)))
+        self.core.counters.premature_stops
     }
 }
 
 impl FabricEngine for SmartFabric {
-    fn can_accept(&self, node: NodeId, vn: VirtualNetwork) -> bool {
-        self.buffers[node.index()].has_space(Direction::Local.index(), vn)
+    fn core(&self) -> &RouterCore {
+        &self.core
     }
 
-    fn inject(&mut self, flight: FlightInfo, now: u64) {
-        self.buffers[flight.src.index()].push(
-            Direction::Local.index(),
-            flight.vn,
-            Buffered {
-                flight,
-                ready_at: now + 1,
-            },
-        );
-        self.active.set(flight.src.index());
-        self.in_flight += 1;
-        self.counters.buffer_writes += 1;
+    fn core_mut(&mut self) -> &mut RouterCore {
+        &mut self.core
     }
 
     fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>) {
         // All fabric packets live in router buffers between ticks; an empty
         // fabric has nothing to arbitrate and nothing to move.
-        if self.in_flight == 0 {
+        if self.core.in_flight() == 0 {
             return;
         }
 
-        // Phase 1 — local switch allocation + SSR generation.
-        //
-        // At each router, for each output direction, at most one ready head
-        // packet wins the switch and broadcasts an SSR of length
-        // min(remaining-in-dimension, HPCmax). A single pass over the lanes
-        // buckets candidates per output direction (the route of a head is a
-        // function of the head alone, not of the direction being arbitrated);
-        // bucket order equals `lanes()` order, so round-robin outcomes are
-        // identical to scanning the lanes once per direction.
-        let mut ssrs: Vec<Ssr> = std::mem::take(&mut self.ssr_scratch);
-        debug_assert!(ssrs.is_empty());
-        for node_idx in self.active.iter() {
-            let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            debug_assert!(!bufs.is_empty(), "active set out of sync");
-            let mut cand_len = [0usize; 4];
-            for (lane_idx, port, vn) in bufs.occupied_lanes() {
-                let head = bufs.head(port, vn).expect("occupied lane has a head");
-                if head.ready_at > now {
-                    continue;
-                }
-                let Some((dir, hops)) = self.desired(node, &head.flight) else {
-                    continue;
-                };
-                if hops == 0 || !self.links.is_free(node, dir_link(dir), now) {
-                    continue;
-                }
-                let d = dir.index();
-                self.cand_scratch[d][cand_len[d]] = lane_idx;
-                cand_len[d] += 1;
-                self.meta_scratch[lane_idx] = (port, vn, hops);
-            }
-            for out in Direction::CARDINAL {
-                let d = out.index();
-                if cand_len[d] == 0 {
-                    continue;
-                }
-                let arb = &mut self.arbiters[node.index() * PORTS + dir_link(out)];
-                if let Some(winner) = arb.pick(&self.cand_scratch[d][..cand_len[d]], LANES) {
-                    let (port, vn, hops) = self.meta_scratch[winner];
-                    let head = self.buffers[node.index()]
-                        .head(port, vn)
-                        .expect("head exists");
-                    // Each granted winner drives its dedicated SSR wires
-                    // `hops` routers far this cycle, whatever phase 2 then
-                    // truncates the traversal to.
-                    self.counters.ssr_broadcasts += 1;
-                    self.counters.ssr_hops += u64::from(hops);
-                    ssrs.push(Ssr {
-                        flight: head.flight,
-                        start: node,
-                        port,
-                        dir: out,
-                        want_hops: hops,
-                    });
-                }
-            }
-        }
+        // Phase 1 — local switch allocation + SSR generation. At each
+        // router, for each output direction, at most one ready head packet
+        // wins the switch and broadcasts an SSR of length
+        // min(remaining-in-dimension, HPCmax). Each granted winner drives its
+        // dedicated SSR wires that far this cycle, whatever phase 2 then
+        // truncates the traversal to.
+        self.core.allocate(now, &mut self.ssrs);
+        let ssrs = &self.ssrs.0;
+        self.core.counters.ssr_broadcasts += ssrs.len() as u64;
+        self.core.counters.ssr_hops += ssrs.iter().map(|s| u64::from(s.want_hops)).sum::<u64>();
 
         // Phase 2 — SSR arbitration with nearer-flit priority.
         //
@@ -207,159 +118,92 @@ impl FabricEngine for SmartFabric {
         // rule of the SMART paper. An SSR whose claim fails is truncated and
         // its flit stops (is prematurely buffered) at the router before the
         // contended link.
-        // claimed[node * 4 + dir'] = true if the link leaving `node` in a
-        // cardinal direction has been claimed this cycle. The buffer lives
-        // in the struct and only the entries dirtied this tick are reset.
-        let mut claimed = std::mem::take(&mut self.claimed_scratch);
-        let mut claimed_dirty = std::mem::take(&mut self.claimed_dirty);
-        debug_assert!(claimed.iter().all(|c| !c) && claimed_dirty.is_empty());
-        let claim_idx = |node: NodeId, dir: Direction| node.index() * 4 + dir_link(dir);
+        let claimed = &mut self.claimed_scratch;
+        debug_assert!(claimed.iter().all(|c| !c) && self.claimed_dirty.is_empty());
         // travel[i] = hops SSR i actually gets to traverse this cycle.
-        let mut travel = std::mem::take(&mut self.travel_scratch);
+        let travel = &mut self.travel_scratch;
         travel.clear();
         travel.resize(ssrs.len(), 0);
-        let mut active = std::mem::take(&mut self.active_scratch);
+        let active = &mut self.active_scratch;
         active.clear();
-        active.extend(ssrs.iter().map(|s| s.want_hops > 0));
-        let max_hops = self.cfg.hpc_max.max(1);
-        for round in 0..max_hops {
+        active.resize(ssrs.len(), true);
+        for round in 0..self.hpc_max {
             for (i, ssr) in ssrs.iter().enumerate() {
                 if !active[i] || round >= ssr.want_hops {
                     active[i] = false;
                     continue;
                 }
                 // Router the flit sits at after `round` hops.
-                let at = self.mesh.advance(ssr.start, ssr.dir, round);
-                let idx = claim_idx(at, ssr.dir);
+                let at = self.core.routes.advance(ssr.start, ssr.dir, round);
+                let idx = at.index() * 4 + ssr.dir.index();
                 if claimed[idx] {
                     // Lost to a nearer flit: stop here.
                     active[i] = false;
-                    if travel[i] < ssr.want_hops && travel[i] > 0 {
-                        self.counters.premature_stops += 1;
+                    if travel[i] > 0 {
+                        self.core.counters.premature_stops += 1;
                     }
                 } else {
                     claimed[idx] = true;
-                    claimed_dirty.push(idx);
+                    self.claimed_dirty.push(idx);
                     travel[i] += 1;
                 }
             }
         }
-        for (i, ssr) in ssrs.iter().enumerate() {
-            if travel[i] > 0 && travel[i] < ssr.want_hops {
-                // Count flits truncated in the final round as premature too.
-                self.counters.premature_stops += u64::from(active[i]);
-            }
-        }
-        for idx in claimed_dirty.drain(..) {
+        // `want_hops <= hpc_max`, the number of rounds, so an SSR still
+        // active after the last round travelled its whole SMART-hop: no flit
+        // is truncated by running out of rounds.
+        debug_assert!((ssrs.iter().zip(active.iter()).zip(travel.iter()))
+            .all(|((s, &a), &t)| !a || t == s.want_hops));
+        for idx in self.claimed_dirty.drain(..) {
             claimed[idx] = false;
         }
-        self.claimed_scratch = claimed;
-        self.claimed_dirty = claimed_dirty;
-        self.active_scratch = active;
 
         // Phase 3 — single-cycle multi-hop traversal (ST + LT) of the
         // granted paths. The flit is latched at the stop router at the end of
         // the next cycle; every claimed link is held for the packet length.
-        for (i, ssr) in ssrs.iter().enumerate() {
-            let hops = travel[i];
+        for (ssr, &hops) in ssrs.iter().zip(travel.iter()) {
             if hops == 0 {
                 continue;
             }
-            let buffered = self.buffers[ssr.start.index()]
-                .pop(ssr.port, ssr.flight.vn)
-                .expect("ssr packet present");
-            if self.buffers[ssr.start.index()].is_empty() {
-                self.active.clear(ssr.start.index());
-            }
-            let mut flight = buffered.flight;
-            let flits = flight.flits as u64;
-            // Event accounting: one buffer read at the start router, then
-            // the pre-set path crosses the crossbar of every router it
-            // leaves (start + bypassed intermediates) and `hops` links; only
-            // the stop router latches the flit.
-            self.counters.buffer_reads += 1;
-            self.counters.crossbar_traversals += u64::from(hops);
-            self.counters.link_flit_hops += u64::from(hops) * flits;
-            self.counters.bypass_hops += u64::from(hops) - 1;
-            self.counters.stop_hops += 1;
+            let Buffered { flight, route, .. } = self.core.pop(ssr.start, ssr.lane);
+            let flits = u64::from(flight.flits);
+            // Event accounting: one buffer read (in `pop`) at the start
+            // router, then the pre-set path crosses the crossbar of every
+            // router it leaves (start + bypassed intermediates) and `hops`
+            // links; only the stop router latches the flit.
+            let c = &mut self.core.counters;
+            c.crossbar_traversals += u64::from(hops);
+            c.link_flit_hops += u64::from(hops) * flits;
+            c.bypass_hops += u64::from(hops) - 1;
+            c.stop_hops += 1;
             for h in 0..hops {
-                let link_node = self.mesh.advance(ssr.start, ssr.dir, h);
-                self.links
-                    .occupy(link_node, dir_link(ssr.dir), now + flits);
+                let link_node = self.core.routes.advance(ssr.start, ssr.dir, h);
+                self.core
+                    .links
+                    .occupy(link_node, usize::from(route.link), now + flits);
             }
-            let stop = self.mesh.advance(ssr.start, ssr.dir, hops);
+            let stop = self.core.routes.advance(ssr.start, ssr.dir, hops);
             let arrival_cycle = now + 1 + (flits - 1);
-            flight.stops += 1;
-            if stop == flight.dest {
-                self.in_flight -= 1;
-                arrivals.push(Arrival {
-                    flight,
-                    at: stop,
-                    now: arrival_cycle,
-                });
-            } else {
-                self.counters.buffer_writes += 1;
-                self.buffers[stop.index()].push(
-                    ssr.dir.opposite().index(),
-                    flight.vn,
-                    Buffered {
-                        flight,
-                        ready_at: arrival_cycle + 1,
-                    },
-                );
-                self.active.set(stop.index());
-            }
+            self.core.land(
+                flight,
+                stop,
+                ssr.dir.opposite(),
+                arrival_cycle,
+                arrival_cycle + 1,
+                arrivals,
+            );
         }
-        ssrs.clear();
-        self.ssr_scratch = ssrs;
-        self.travel_scratch = travel;
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // An SSR can only be generated for a ready head whose first output
-        // link is free (phase 1); SSR arbitration (phase 2) happens within
-        // the same cycle and cannot create earlier work. The minimum over
-        // all heads of that eligibility cycle is therefore a safe wake-up.
-        let mut next: Option<u64> = None;
-        for node_idx in self.active.iter() {
-            let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            for (_, port, vn) in bufs.occupied_lanes() {
-                let head = bufs.head(port, vn).expect("occupied lane has a head");
-                let Some((dir, hops)) = self.desired(node, &head.flight) else {
-                    continue;
-                };
-                if hops == 0 {
-                    continue;
-                }
-                let e = head
-                    .ready_at
-                    .max(self.links.free_at(node, dir_link(dir)))
-                    .max(now);
-                if e == now {
-                    return Some(now);
-                }
-                next = Some(next.map_or(e, |n| n.min(e)));
-            }
-        }
-        next
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    fn counters(&self) -> &FabricCounters {
-        &self.counters
+        self.ssrs.0.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::PacketId;
+    use crate::message::VirtualNetwork;
+    use crate::router::{FlightInfo, PacketId};
 
-    fn flight(id: u64, src: u16, dest: u16, flits: u32) -> FlightInfo {
+    fn flight(id: u32, src: u16, dest: u16, flits: u32) -> FlightInfo {
         FlightInfo {
             id: PacketId(id),
             src: NodeId(src),

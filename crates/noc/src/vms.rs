@@ -13,7 +13,7 @@
 //! network for any registered multicast group whose members form a grid.
 
 use crate::topology::{Coord, Direction, Mesh, NodeId};
-use crate::fx::FxHashMap;
+use std::cmp::Ordering;
 
 /// The set of home nodes (one per cluster) that share a given home-node
 /// offset, i.e. one virtual mesh of the LOCO design.
@@ -116,9 +116,10 @@ impl VirtualMesh {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MulticastTree {
     members: Vec<NodeId>,
-    /// For each member: nearest member strictly east / west in the same row,
-    /// and strictly north / south in the same column.
-    next: FxHashMap<NodeId, [Option<NodeId>; 4]>,
+    /// Indexed by node, `Some` for members only: the nearest member strictly
+    /// east / west in the same row, and strictly north / south in the same
+    /// column.
+    next: Vec<Option<[Option<NodeId>; 4]>>,
 }
 
 impl MulticastTree {
@@ -129,50 +130,26 @@ impl MulticastTree {
     /// Panics if `members` is empty.
     pub fn new(mesh: Mesh, members: Vec<NodeId>) -> Self {
         assert!(!members.is_empty(), "multicast group must not be empty");
-        let mut next: FxHashMap<NodeId, [Option<NodeId>; 4]> = FxHashMap::default();
+        let mut next = vec![None; mesh.len()];
         for &m in &members {
             let mc = mesh.coord(m);
             let mut slots: [Option<NodeId>; 4] = [None; 4];
+            let mut nearest = [u16::MAX; 4];
             for &o in &members {
-                if o == m {
-                    continue;
-                }
                 let oc = mesh.coord(o);
-                if oc.y == mc.y && oc.x > mc.x {
-                    // East: nearest larger x.
-                    if slots[Direction::East.index()]
-                        .map(|cur| mesh.coord(cur).x > oc.x)
-                        .unwrap_or(true)
-                    {
-                        slots[Direction::East.index()] = Some(o);
-                    }
-                }
-                if oc.y == mc.y && oc.x < mc.x {
-                    if slots[Direction::West.index()]
-                        .map(|cur| mesh.coord(cur).x < oc.x)
-                        .unwrap_or(true)
-                    {
-                        slots[Direction::West.index()] = Some(o);
-                    }
-                }
-                if oc.x == mc.x && oc.y > mc.y {
-                    if slots[Direction::North.index()]
-                        .map(|cur| mesh.coord(cur).y > oc.y)
-                        .unwrap_or(true)
-                    {
-                        slots[Direction::North.index()] = Some(o);
-                    }
-                }
-                if oc.x == mc.x && oc.y < mc.y {
-                    if slots[Direction::South.index()]
-                        .map(|cur| mesh.coord(cur).y < oc.y)
-                        .unwrap_or(true)
-                    {
-                        slots[Direction::South.index()] = Some(o);
-                    }
+                let (dir, dist) = match (oc.x.cmp(&mc.x), oc.y.cmp(&mc.y)) {
+                    (Ordering::Greater, Ordering::Equal) => (Direction::East, oc.x - mc.x),
+                    (Ordering::Less, Ordering::Equal) => (Direction::West, mc.x - oc.x),
+                    (Ordering::Equal, Ordering::Greater) => (Direction::North, oc.y - mc.y),
+                    (Ordering::Equal, Ordering::Less) => (Direction::South, mc.y - oc.y),
+                    _ => continue,
+                };
+                if dist < nearest[dir.index()] {
+                    nearest[dir.index()] = dist;
+                    slots[dir.index()] = Some(o);
                 }
             }
-            next.insert(m, slots);
+            next[m.index()] = Some(slots);
         }
         MulticastTree { members, next }
     }
@@ -184,7 +161,7 @@ impl MulticastTree {
 
     /// Whether `node` is a member of the group.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.next.contains_key(&node)
+        matches!(self.next.get(node.index()), Some(Some(_)))
     }
 
     /// The next members to forward to from `at`, given the direction the
@@ -194,11 +171,13 @@ impl MulticastTree {
     /// vertical travellers only continue vertically; the root fans out in all
     /// four directions. Every member also delivers a local copy (handled by
     /// the caller).
-    pub fn children(&self, at: NodeId, travelling: Option<Direction>) -> Vec<(Direction, NodeId)> {
-        let Some(slots) = self.next.get(&at) else {
-            return Vec::new();
-        };
-        let dirs: &[Direction] = match travelling {
+    pub fn children(
+        &self,
+        at: NodeId,
+        travelling: Option<Direction>,
+    ) -> impl Iterator<Item = (Direction, NodeId)> {
+        let slots = self.next.get(at.index()).copied().flatten().unwrap_or_default();
+        let dirs: &'static [Direction] = match travelling {
             None => &[
                 Direction::East,
                 Direction::West,
@@ -212,8 +191,7 @@ impl MulticastTree {
             Some(Direction::Local) => &[],
         };
         dirs.iter()
-            .filter_map(|&d| slots[d.index()].map(|n| (d, n)))
-            .collect()
+            .filter_map(move |&d| slots[d.index()].map(|n| (d, n)))
     }
 }
 
@@ -308,10 +286,10 @@ mod tests {
         let tree = MulticastTree::new(mesh, vms.members().to_vec());
         let lower_left = mesh.node_at(Coord::new(0, 0));
         let children = tree.children(lower_left, Some(Direction::South));
-        assert!(children.is_empty());
+        assert_eq!(children.count(), 0);
         let upper_left = mesh.node_at(Coord::new(0, 4));
         let children = tree.children(upper_left, Some(Direction::North));
-        assert!(children.is_empty());
+        assert_eq!(children.count(), 0);
     }
 
     #[test]

@@ -57,6 +57,13 @@ if ./target/release/reproduce --params quick --threads 1000000 >/dev/null 2>targ
 fi
 grep -q "makes no sense" target/threads_err.txt || { echo "missing --threads error message"; exit 1; }
 
+echo "==> NoC-only benchmark at 8x8 (three fabrics, multicast + back-pressure; recorded fingerprints must match)"
+if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload noc_synth --seed 42 --seconds 1 --trace 0 > target/noc_synth.txt 2>target/noc_synth_err.txt \
+    || ! tail -n 1 target/noc_synth.txt | grep -q '"correct": true'; then
+    echo "noc_synth did not reproduce its recorded fingerprints"; cat target/noc_synth_err.txt; exit 1
+fi
+
 echo "==> bench smoke (--quick campaign, timings to target/)"
 sh scripts/bench.sh --quick --samples 1 --out target/BENCH_smoke.json
 
