@@ -33,6 +33,10 @@
 //! Everything nondeterministic (wall-clock timings, thread count, progress)
 //! goes to **stderr**; stdout and both output files depend only on the
 //! campaign inputs.
+//!
+//! A scenario that hits its cycle budget before every core finishes would
+//! plot a truncated run: `reproduce` then names each such scenario on
+//! stderr and exits 1 without writing any figure.
 
 use loco::campaign::{CampaignPlan, Executor};
 use loco::json::Value;
@@ -247,6 +251,19 @@ fn main() {
         results.len(),
         start.elapsed().as_secs_f64()
     );
+    let incomplete = results.incomplete();
+    if !incomplete.is_empty() {
+        eprintln!(
+            "{} of {} scenarios hit max_cycles ({}) before finishing; no figures written:",
+            incomplete.len(),
+            results.len(),
+            params.max_cycles
+        );
+        for s in &incomplete {
+            eprintln!("  {}", s.label());
+        }
+        std::process::exit(1);
+    }
 
     // --- Assemble: pure figure construction from the completed result set.
     let mut figures: Vec<Figure> = Vec::new();

@@ -1,19 +1,16 @@
-//! # loco-bench — benchmark harness for the LOCO reproduction
+//! # loco-bench — the `reproduce` CLI and its campaign composition
 //!
-//! Two entry points:
-//!
-//! * the `reproduce` binary plans, executes (in parallel, via
+//! * The `reproduce` binary plans, executes (in parallel, via
 //!   `loco::campaign::Executor`) and assembles every table and figure of
 //!   the paper's evaluation (`cargo run --release -p loco-bench --bin
-//!   reproduce -- --help`),
-//! * the benches under `benches/` (built on the in-tree [`timing`] harness)
-//!   time a reduced version of each figure's simulation campaign so that
-//!   `cargo bench` exercises every experiment end to end.
-//!
-//! The library part hosts the shared campaign-composition helpers for those
-//! front-ends: which benchmarks, cluster shapes and Table-2 workloads each
-//! scale sweeps, and the [`figure_specs`] builder that turns figure numbers
-//! into `loco::campaign::FigureSpec`s.
+//!   reproduce -- --help`).
+//! * The library hosts the campaign-composition helpers it shares with the
+//!   repository benchmark (`perfbench/`): which benchmarks, cluster shapes
+//!   and Table-2 workloads each scale sweeps, and the [`figure_specs`]
+//!   builder that turns figure numbers into `loco::campaign::FigureSpec`s.
+//! * The two micro-benches under `benches/` (`noc_microbench`,
+//!   `ablations`) run on the in-tree [`timing`] harness. Timing a whole
+//!   figure campaign is `perfbench`'s job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,15 +48,6 @@ impl Scale {
             Scale::Quick => ExperimentParams::quick(),
             Scale::Cores64 => ExperimentParams::paper_64(),
             Scale::Cores256 => ExperimentParams::paper_256(),
-        }
-    }
-
-    /// Scale label used in output paths.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Cores64 => "64",
-            Scale::Cores256 => "256",
         }
     }
 }

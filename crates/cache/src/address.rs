@@ -12,12 +12,10 @@ use std::fmt;
 
 /// A full byte address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Address(pub u64);
 
 /// A cache-line address (byte address with the block offset stripped).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LineAddr(pub u64);
 
 impl Address {

@@ -4,7 +4,6 @@ use loco_noc::NodeId;
 
 /// L1 cache-line states (Table 1: MSI for the L1 cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MsiState {
     /// Invalid.
     #[default]
@@ -29,7 +28,6 @@ impl MsiState {
 
 /// L2 cache-line states (Table 1: MOESI for the L2 cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MoesiState {
     /// Invalid.
     #[default]
@@ -79,7 +77,6 @@ impl MoesiState {
 /// A bit-vector of sharer nodes, sized for up to 256 tiles (the largest CMP
 /// evaluated in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SharerSet {
     bits: [u64; 4],
 }

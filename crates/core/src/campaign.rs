@@ -2,8 +2,7 @@
 //!
 //! The paper's evaluation is one large sweep of independent simulations
 //! (5 cache organizations × 3 NoCs × benchmarks × cluster shapes across
-//! Figures 6–16). This module decouples the three phases that the old
-//! monolithic `Runner` fused together:
+//! Figures 6–16). This module runs it in three decoupled phases:
 //!
 //! 1. **Plan** — every figure is described by a [`FigureSpec`] whose
 //!    [`FigureSpec::enumerate`] pass is *pure*: it returns the [`Scenario`]s
@@ -22,9 +21,9 @@
 //!    from an 8-thread execution are byte-identical to a 1-thread one
 //!    (locked in by `tests/campaign.rs` and the `scripts/verify.sh` smoke).
 //!
-//! The legacy [`crate::Runner`] survives as a thin shim over these layers:
-//! its memoization cache *is* a [`ResultSet`], and its `figNN_*` methods are
-//! `enumerate → run-missing → assemble`.
+//! A scenario that exhausts its cycle budget is not a valid data point:
+//! [`ResultSet::incomplete`] names every such run, and `reproduce` refuses
+//! to emit figures while any exist.
 //!
 //! # `Send` invariant
 //!
@@ -41,7 +40,7 @@ use crate::report::{Figure, Series};
 use loco_cache::{ClusterShape, OrganizationKind};
 use loco_energy::{EnergyBreakdown, EnergyParams};
 use loco_noc::{FxHashMap, FxHashSet, RouterKind};
-use loco_sim::{CmpSystem, SimResults, SystemConfig};
+use loco_sim::{CmpSystem, SimResults};
 use loco_workloads::{Benchmark, MultiProgramWorkload, StressKind, TraceGenerator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -183,7 +182,7 @@ pub fn run_scenario(params: &ExperimentParams, scenario: Scenario) -> SimResults
 /// set and caches scaled together exactly as trace scenarios are.
 /// DRAM-bound runs stretch the memory latency to 800 cycles (min gap 8) so
 /// nearly the whole run is exposed off-chip stall; barrier-phased runs
-/// enable the full-system replay mode. Exposed so the bench harness and the
+/// enable the full-system replay mode. Exposed so the benchmark and the
 /// equivalence suite can drive the exact campaign configuration manually
 /// (e.g. to read the scheduler's skip diagnostics or to time `run` against
 /// `run_naive`).
@@ -192,17 +191,19 @@ pub fn stall_stress_system(
     kind: StressKind,
     router: RouterKind,
 ) -> CmpSystem {
-    let scale = params.working_set_scale.max(1);
-    let spec = kind.spec().scaled_down(scale);
+    let spec = kind.spec().scaled_down(params.working_set_scale.max(1));
     let full_system = kind.full_system();
-    let mut cfg = SystemConfig::asplos_64(OrganizationKind::LocoCcVms)
-        .with_router(router)
-        .with_cluster(ClusterShape::new(2, 2))
-        .with_full_system(full_system);
-    cfg.mesh_width = 4;
-    cfg.mesh_height = 4;
-    cfg.l1.size_bytes = (cfg.l1.size_bytes / scale).max(1024);
-    cfg.l2.geometry.size_bytes = (cfg.l2.geometry.size_bytes / scale).max(2048);
+    let fixed_mesh = ExperimentParams {
+        mesh_width: 4,
+        mesh_height: 4,
+        ..*params
+    };
+    let mut cfg = fixed_mesh.system(
+        OrganizationKind::LocoCcVms,
+        router,
+        ClusterShape::new(2, 2),
+        full_system,
+    );
     if kind == StressKind::DramBound {
         cfg.mem.latency = 800;
         cfg.mem.min_gap = 8;
@@ -222,7 +223,7 @@ pub fn run_stall_stress(params: &ExperimentParams, kind: StressKind, router: Rou
 /// follows the paper: it matches the per-task thread count (4x1, 8x1 or
 /// 4x4); below 64 cores (the `quick()` mesh) the campaign's default cluster
 /// is used and the workload is truncated to fit.
-pub fn run_multiprogram_workload(
+fn run_multiprogram_workload(
     params: &ExperimentParams,
     workload: &MultiProgramWorkload,
     org: OrganizationKind,
@@ -315,14 +316,15 @@ impl CampaignPlan {
     }
 }
 
-/// Completed simulation results, keyed by [`Scenario`].
+/// Completed simulation results, keyed by [`Scenario`] and kept in
+/// insertion order (plan order, for an [`Executor`] result).
 ///
-/// Results are shared via [`Arc`], so memoized reuse (the `Runner` shim, a
-/// figure reading the same baseline run eight times) never deep-clones a
-/// `SimResults` again.
+/// Results are shared via [`Arc`], so a figure reading the same baseline
+/// run eight times never deep-clones a `SimResults`.
 #[derive(Debug, Default, Clone)]
 pub struct ResultSet {
-    map: FxHashMap<Scenario, Arc<SimResults>>,
+    entries: Vec<(Scenario, Arc<SimResults>)>,
+    index: FxHashMap<Scenario, usize>,
 }
 
 impl ResultSet {
@@ -331,19 +333,20 @@ impl ResultSet {
         Self::default()
     }
 
-    /// Inserts (or replaces) one result.
+    /// Inserts (or replaces, keeping its position) one result.
     pub fn insert(&mut self, scenario: Scenario, result: Arc<SimResults>) {
-        self.map.insert(scenario, result);
+        match self.index.get(&scenario) {
+            Some(&i) => self.entries[i].1 = result,
+            None => {
+                self.index.insert(scenario, self.entries.len());
+                self.entries.push((scenario, result));
+            }
+        }
     }
 
     /// The result of one scenario, if present.
     pub fn get(&self, scenario: &Scenario) -> Option<&SimResults> {
-        self.map.get(scenario).map(Arc::as_ref)
-    }
-
-    /// The shared handle of one scenario's result, if present.
-    pub fn get_arc(&self, scenario: &Scenario) -> Option<&Arc<SimResults>> {
-        self.map.get(scenario)
+        self.index.get(scenario).map(|&i| self.entries[i].1.as_ref())
     }
 
     /// The result of one scenario.
@@ -360,17 +363,27 @@ impl ResultSet {
 
     /// Number of completed scenarios.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether no results are present.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Iterates over `(scenario, result)` pairs in arbitrary order.
+    /// Iterates over `(scenario, result)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&Scenario, &Arc<SimResults>)> {
-        self.map.iter()
+        self.entries.iter().map(|(s, r)| (s, r))
+    }
+
+    /// The scenarios whose simulation hit its `max_cycles` budget before
+    /// every core finished, in insertion order. Their results are
+    /// truncated and must not be plotted.
+    pub fn incomplete(&self) -> Vec<Scenario> {
+        self.iter()
+            .filter(|(_, r)| !r.completed)
+            .map(|(s, _)| *s)
+            .collect()
     }
 }
 
@@ -441,7 +454,7 @@ impl Executor {
         let mut slots: Vec<Option<Arc<SimResults>>> = Vec::with_capacity(n);
         if workers <= 1 {
             // Inline fast path: no thread or lock overhead for sequential
-            // execution (also what the Runner shim uses implicitly).
+            // execution.
             slots.extend(
                 scenarios
                     .iter()
@@ -1330,6 +1343,32 @@ mod tests {
         let figs = spec.assemble(&params, &results);
         assert_eq!(figs.len(), 2);
         assert_eq!(figs[0].series.len(), 3);
+    }
+
+    #[test]
+    fn incomplete_names_truncated_runs_in_plan_order() {
+        let params = quick();
+        let spec = FigureSpec::Fig06 {
+            benchmarks: vec![Benchmark::Lu, Benchmark::Barnes],
+        };
+        let mut plan = CampaignPlan::new();
+        plan.add_figure(&spec, &params);
+        let full = Executor::new(2).execute(&params, &plan);
+        assert!(full.incomplete().is_empty());
+        let truncated = ExperimentParams {
+            max_cycles: 50,
+            ..params
+        };
+        let cut = Executor::new(2).execute(&truncated, &plan);
+        assert_eq!(cut.incomplete(), plan.scenarios());
+        // A mixed set reports only its truncated runs, in insertion order.
+        let mut mixed = ResultSet::new();
+        for (i, s) in plan.scenarios().iter().enumerate() {
+            let from = if i % 2 == 0 { &cut } else { &full };
+            mixed.insert(*s, Arc::new(from.expect(s).clone()));
+        }
+        let expected: Vec<Scenario> = plan.scenarios().iter().step_by(2).copied().collect();
+        assert_eq!(mixed.incomplete(), expected);
     }
 
     #[test]

@@ -1,29 +1,20 @@
-//! Experiment runners reproducing every table and figure of the paper's
-//! evaluation (Section 4).
+//! Scale parameters of the experiments reproducing the paper's evaluation
+//! (Section 4).
 //!
-//! Since the campaign-engine refactor the heavy lifting lives in
-//! [`crate::campaign`]: every figure is a [`crate::campaign::FigureSpec`]
-//! with a pure *enumerate* pass (which [`crate::campaign::Scenario`]s it
-//! needs) and a pure *assemble* pass (how the [`Figure`] is built from a
-//! completed [`crate::campaign::ResultSet`]). The [`Runner`] here is kept as
-//! a convenient sequential shim over those layers: it memoizes simulation
-//! runs in a `Scenario`-keyed `Arc<SimResults>` cache, so composing several
-//! figures over the same configuration matrix never re-simulates — and
-//! never deep-clones a result either. For parallel campaigns use
-//! [`crate::campaign::Executor`] (or the `reproduce` CLI, which emits
-//! `EXPERIMENTS.md` mechanically).
+//! The experiments themselves live in [`crate::campaign`]: every figure is a
+//! [`crate::campaign::FigureSpec`] with a pure *enumerate* pass (which
+//! [`crate::campaign::Scenario`]s it needs) and a pure *assemble* pass (how
+//! its figures are built from a completed [`crate::campaign::ResultSet`]),
+//! and [`crate::campaign::Executor`] runs the scenarios in parallel. The
+//! `reproduce` CLI drives all three and emits `EXPERIMENTS.md`.
 
-use crate::campaign::{run_multiprogram_workload, run_scenario, FigureSpec, ResultSet, Scenario};
-use crate::report::Figure;
 use loco_cache::{ClusterShape, OrganizationKind};
 use loco_noc::RouterKind;
-use loco_sim::{SimResults, SystemConfig};
-use loco_workloads::{Benchmark, MultiProgramWorkload};
-use std::sync::Arc;
+use loco_sim::SystemConfig;
+use loco_workloads::Benchmark;
 
 /// Scale parameters of an experiment campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentParams {
     /// Mesh width in tiles.
     pub mesh_width: u16,
@@ -125,282 +116,36 @@ impl ExperimentParams {
     }
 }
 
-/// Memoizing sequential experiment runner — a thin shim over the campaign
-/// engine (see the module docs and [`crate::campaign`]).
-#[derive(Debug)]
-pub struct Runner {
-    params: ExperimentParams,
-    cache: ResultSet,
-    runs: u64,
-}
-
-impl Runner {
-    /// Creates a runner for the given scale.
-    pub fn new(params: ExperimentParams) -> Self {
-        Runner {
-            params,
-            cache: ResultSet::new(),
-            runs: 0,
-        }
-    }
-
-    /// The scale parameters.
-    pub fn params(&self) -> &ExperimentParams {
-        &self.params
-    }
-
-    /// Number of distinct simulations executed so far.
-    pub fn simulations_run(&self) -> u64 {
-        self.runs
-    }
-
-    /// The memoized results accumulated so far (a campaign
-    /// [`ResultSet`] — usable directly with [`FigureSpec::assemble`]).
-    pub fn results(&self) -> &ResultSet {
-        &self.cache
-    }
-
-    /// Runs (or returns the memoized result of) one scenario.
-    pub fn run_scenario(&mut self, scenario: Scenario) -> Arc<SimResults> {
-        if let Some(r) = self.cache.get_arc(&scenario) {
-            return Arc::clone(r);
-        }
-        let r = Arc::new(run_scenario(&self.params, scenario));
-        self.runs += 1;
-        self.cache.insert(scenario, Arc::clone(&r));
-        r
-    }
-
-    /// Runs (or returns the memoized result of) one configuration.
-    pub fn run(
-        &mut self,
-        benchmark: Benchmark,
-        org: OrganizationKind,
-        router: RouterKind,
-        cluster: ClusterShape,
-        full_system: bool,
-    ) -> Arc<SimResults> {
-        self.run_scenario(Scenario::Trace {
-            benchmark,
-            org,
-            router,
-            cluster,
-            full_system,
-        })
-    }
-
-    /// Shorthand: SMART NoC, default cluster, trace-driven.
-    pub fn run_default(&mut self, benchmark: Benchmark, org: OrganizationKind) -> Arc<SimResults> {
-        self.run(benchmark, org, RouterKind::Smart, self.params.cluster, false)
-    }
-
-    /// Sequentially runs whatever the figure still needs and assembles it.
-    fn figure(&mut self, spec: FigureSpec) -> Vec<Figure> {
-        for scenario in spec.enumerate(&self.params) {
-            self.run_scenario(scenario);
-        }
-        spec.assemble(&self.params, &self.cache)
-    }
-
-    fn single(&mut self, spec: FigureSpec) -> Figure {
-        let mut figs = self.figure(spec);
-        debug_assert_eq!(figs.len(), 1);
-        figs.remove(0)
-    }
-
-    // ------------------------------------------------------------ Figure 6
-
-    /// Figure 6: run time of the private-cache baseline normalized to the
-    /// distributed shared cache (both on SMART NoCs).
-    pub fn fig06_private_vs_shared(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.single(FigureSpec::Fig06 {
-            benchmarks: benchmarks.to_vec(),
-        })
-    }
-
-    // ------------------------------------------------------------ Figure 7
-
-    /// Figure 7: increase of average L2 hit latency over the private-cache
-    /// baseline, for the shared cache and for LOCO.
-    pub fn fig07_l2_hit_latency(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.single(FigureSpec::Fig07 {
-            benchmarks: benchmarks.to_vec(),
-        })
-    }
-
-    // ------------------------------------------------------------ Figure 8
-
-    /// Figure 8: L2 misses per thousand instructions, shared cache vs. LOCO.
-    pub fn fig08_mpki(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.single(FigureSpec::Fig08 {
-            benchmarks: benchmarks.to_vec(),
-        })
-    }
-
-    // ------------------------------------------------------------ Figure 9
-
-    /// Figure 9: on-chip data-search delay, LOCO CC (directory indirection)
-    /// vs. LOCO CC+VMS (broadcast on the virtual mesh).
-    pub fn fig09_search_delay(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.single(FigureSpec::Fig09 {
-            benchmarks: benchmarks.to_vec(),
-        })
-    }
-
-    // ----------------------------------------------------------- Figure 10
-
-    /// Figure 10: off-chip memory accesses normalized to the shared cache,
-    /// with and without inter-cluster victim replacement.
-    pub fn fig10_offchip(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.single(FigureSpec::Fig10 {
-            benchmarks: benchmarks.to_vec(),
-        })
-    }
-
-    // ----------------------------------------------------------- Figure 11
-
-    /// Figure 11: run time of each LOCO feature, normalized to the shared
-    /// cache baseline.
-    pub fn fig11_runtime(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.single(FigureSpec::Fig11 {
-            benchmarks: benchmarks.to_vec(),
-        })
-    }
-
-    // ------------------------------------------------------ Figures 12 & 13
-
-    /// Figure 12a: LOCO's L2 hit latency increase (over private) under
-    /// SMART, conventional and high-radix NoCs.
-    pub fn fig12_l2_latency(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.figure(FigureSpec::Fig12 {
-            benchmarks: benchmarks.to_vec(),
-        })
-        .remove(0)
-    }
-
-    /// Figure 12b: LOCO's on-chip data-search delay under the three NoCs.
-    pub fn fig12_search_delay(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.figure(FigureSpec::Fig12 {
-            benchmarks: benchmarks.to_vec(),
-        })
-        .remove(1)
-    }
-
-    /// Figure 13: LOCO run time under the three NoCs, normalized to the
-    /// shared cache running atop the SMART NoC.
-    pub fn fig13_noc_runtime(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.single(FigureSpec::Fig13 {
-            benchmarks: benchmarks.to_vec(),
-        })
-    }
-
-    // ----------------------------------------------------------- Figure 14
-
-    /// Figure 14: LOCO with different cluster shapes. Returns the four
-    /// sub-figures (hit latency, MPKI, search delay, normalized runtime).
-    pub fn fig14_cluster_size(&mut self, benchmarks: &[Benchmark], shapes: &[ClusterShape]) -> Vec<Figure> {
-        self.figure(FigureSpec::Fig14 {
-            benchmarks: benchmarks.to_vec(),
-            shapes: shapes.to_vec(),
-        })
-    }
-
-    // ----------------------------------------------------------- Figure 15
-
-    /// Figure 15: multi-program workloads W0–W9 (Table 2). Returns
-    /// (normalized off-chip accesses, normalized runtime); series are the
-    /// shared cache, the clustered cache baseline (LOCO CC) and full LOCO.
-    pub fn fig15_multiprogram(&mut self, workloads: &[usize]) -> (Figure, Figure) {
-        let mut figs = self.figure(FigureSpec::Fig15 {
-            workloads: workloads.to_vec(),
-        });
-        let runtime = figs.remove(1);
-        let offchip = figs.remove(0);
-        (offchip, runtime)
-    }
-
-    /// Runs one Table-2 workload under one organization (unmemoized — the
-    /// workload may be arbitrary, not just a Table-2 entry; campaign
-    /// scenarios key Table-2 workloads by index instead).
-    pub fn run_multiprogram(&mut self, workload: &MultiProgramWorkload, org: OrganizationKind) -> SimResults {
-        self.runs += 1;
-        run_multiprogram_workload(&self.params, workload, org)
-    }
-
-    // ----------------------------------------------------------- Figure 16
-
-    /// Figure 16a: full-system (synchronization-aware) MPKI, shared vs LOCO.
-    pub fn fig16_mpki(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.figure(FigureSpec::Fig16 {
-            benchmarks: benchmarks.to_vec(),
-        })
-        .remove(0)
-    }
-
-    /// Figure 16b: full-system normalized runtime of the LOCO variants
-    /// against the shared cache.
-    pub fn fig16_runtime(&mut self, benchmarks: &[Benchmark]) -> Figure {
-        self.figure(FigureSpec::Fig16 {
-            benchmarks: benchmarks.to_vec(),
-        })
-        .remove(1)
-    }
-
-    // ------------------------------------------------- Figures 17 & 18 (energy)
-
-    /// Figures 17a+17b: energy per instruction by cache organization and the
-    /// subsystem (NoC / L1 / L2 / directory / VMS+IVR / DRAM) breakdown.
-    pub fn fig17_energy(&mut self, benchmarks: &[Benchmark]) -> Vec<Figure> {
-        self.figure(FigureSpec::Fig17Energy {
-            benchmarks: benchmarks.to_vec(),
-        })
-    }
-
-    /// Figure 18: energy-delay product of full LOCO by cluster shape,
-    /// normalized to the shared-cache baseline.
-    pub fn fig18_edp(&mut self, benchmarks: &[Benchmark], shapes: &[ClusterShape]) -> Figure {
-        self.single(FigureSpec::Fig18Edp {
-            benchmarks: benchmarks.to_vec(),
-            shapes: shapes.to_vec(),
-        })
-    }
-
-    // ------------------------------------------------- Figure 19 (stress)
-
-    /// Figure 19: runtime of the stall-heavy stress workloads
-    /// (barrier-phased, DRAM-bound) under the three NoCs, normalized to the
-    /// SMART NoC.
-    pub fn fig19_stall(&mut self) -> Figure {
-        self.single(FigureSpec::Fig19Stall)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignPlan, Executor, FigureSpec};
+    use crate::report::Figure;
 
     fn quick_benchmarks() -> Vec<Benchmark> {
         vec![Benchmark::Lu, Benchmark::Blackscholes]
     }
 
-    #[test]
-    fn runner_memoizes_identical_configurations() {
-        let mut r = Runner::new(ExperimentParams::quick());
-        let a = r.run_default(Benchmark::Lu, OrganizationKind::Shared);
-        let runs_after_first = r.simulations_run();
-        let b = r.run_default(Benchmark::Lu, OrganizationKind::Shared);
-        assert_eq!(r.simulations_run(), runs_after_first);
-        assert_eq!(a.runtime_cycles, b.runtime_cycles);
-        // The memoized handle is shared, not cloned: both callers plus the
-        // cache itself hold the same allocation.
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(Arc::strong_count(&a), 3);
+    /// Plans one figure at the quick scale, executes it and assembles it.
+    fn figures(spec: FigureSpec) -> Vec<Figure> {
+        let params = ExperimentParams::quick();
+        let mut plan = CampaignPlan::new();
+        plan.add_figure(&spec, &params);
+        let results = Executor::all_cores().execute(&params, &plan);
+        spec.assemble(&params, &results)
+    }
+
+    fn figure(spec: FigureSpec) -> Figure {
+        let mut figs = figures(spec);
+        assert_eq!(figs.len(), 1);
+        figs.remove(0)
     }
 
     #[test]
     fn fig06_has_one_series_with_average() {
-        let mut r = Runner::new(ExperimentParams::quick());
-        let fig = r.fig06_private_vs_shared(&quick_benchmarks());
+        let fig = figure(FigureSpec::Fig06 {
+            benchmarks: quick_benchmarks(),
+        });
         assert_eq!(fig.series.len(), 1);
         assert_eq!(fig.x_labels.len(), 3); // 2 benchmarks + AVG
         assert!(fig.average_of("Private Cache").unwrap() > 0.0);
@@ -408,8 +153,9 @@ mod tests {
 
     #[test]
     fn fig11_normalizes_shared_to_one() {
-        let mut r = Runner::new(ExperimentParams::quick());
-        let fig = r.fig11_runtime(&quick_benchmarks());
+        let fig = figure(FigureSpec::Fig11 {
+            benchmarks: quick_benchmarks(),
+        });
         assert_eq!(fig.series.len(), 4);
         let shared_avg = fig.average_of("Shared Cache").unwrap();
         assert!((shared_avg - 1.0).abs() < 1e-9);
@@ -422,32 +168,43 @@ mod tests {
 
     #[test]
     fn fig09_search_delay_produces_positive_values() {
-        let mut r = Runner::new(ExperimentParams::quick());
-        let fig = r.fig09_search_delay(&[Benchmark::Barnes]);
+        let fig = figure(FigureSpec::Fig09 {
+            benchmarks: vec![Benchmark::Barnes],
+        });
         assert_eq!(fig.series.len(), 2);
         assert!(fig.average_of("LOCO CC+VMS").unwrap() > 0.0);
     }
 
     #[test]
     fn fig15_runs_a_truncated_workload_on_the_quick_mesh() {
-        let mut r = Runner::new(ExperimentParams::quick());
-        let (off, run) = r.fig15_multiprogram(&[0]);
+        let figs = figures(FigureSpec::Fig15 { workloads: vec![0] });
+        assert_eq!(figs.len(), 2);
+        let (off, run) = (&figs[0], &figs[1]);
         assert_eq!(off.series.len(), 3);
         assert_eq!(run.series.len(), 3);
         assert!(run.average_of("Shared Cache").unwrap() > 0.0);
     }
 
+    /// DESIGN.md §3: caches shrink with the working set, down to a floor of
+    /// 1024 bytes (L1) and 2048 bytes (L2 slice).
     #[test]
-    fn run_multiprogram_accepts_arbitrary_workloads() {
-        let mut r = Runner::new(ExperimentParams::quick().with_mem_ops(100));
-        let w = MultiProgramWorkload::table2_entry(0);
-        let direct = r.run_multiprogram(&w, OrganizationKind::Shared);
-        let keyed = r.run_scenario(Scenario::MultiProgram {
-            workload: 0,
-            org: OrganizationKind::Shared,
-        });
-        // The scenario-keyed path and the direct path are the same
-        // simulation.
-        assert_eq!(format!("{direct:?}"), format!("{:?}", *keyed));
+    fn system_scales_caches_down_to_their_floors() {
+        let sizes = |working_set_scale: u64| {
+            let params = ExperimentParams {
+                working_set_scale,
+                ..ExperimentParams::quick()
+            };
+            let cfg = params.system(
+                OrganizationKind::LocoCcVms,
+                RouterKind::Smart,
+                ClusterShape::new(2, 2),
+                false,
+            );
+            assert_eq!((cfg.mesh_width, cfg.mesh_height), (4, 4));
+            (cfg.l1.size_bytes, cfg.l2.geometry.size_bytes)
+        };
+        assert_eq!(sizes(1), (16 * 1024, 64 * 1024), "Table-1 capacities");
+        assert_eq!(sizes(8), (2 * 1024, 8 * 1024));
+        assert_eq!(sizes(1 << 20), (1024, 2048), "floors");
     }
 }

@@ -17,9 +17,10 @@
 //! * [`campaign`] — the plan/execute/assemble campaign engine: enumerate
 //!   the [`campaign::Scenario`]s a set of figures needs, execute them on
 //!   all cores with [`campaign::Executor`], and assemble the figures from
-//!   the [`campaign::ResultSet`],
-//! * [`experiments::Runner`] — the sequential memoizing shim over the
-//!   campaign engine (reproduce individual figures in-process),
+//!   the [`campaign::ResultSet`] (the `reproduce` CLI of `loco-bench` is
+//!   its command-line front end),
+//! * [`ExperimentParams`] — the scale of a campaign (mesh, trace length,
+//!   seed, cycle budget, working-set scaling),
 //! * re-exports of the substrate crates (`loco-noc`, `loco-cache`,
 //!   `loco-sim`, `loco-energy`, `loco-workloads`) — including
 //!   [`EnergyParams`] / [`EnergyBreakdown`], the event-level energy model
@@ -51,7 +52,7 @@ pub mod json;
 pub mod report;
 
 pub use campaign::{CampaignPlan, Executor, FigureSpec, ResultSet, Scenario};
-pub use experiments::{ExperimentParams, Runner};
+pub use experiments::ExperimentParams;
 pub use report::{Figure, Series};
 
 pub use loco_cache::{

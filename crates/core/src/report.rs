@@ -11,7 +11,6 @@ use std::fmt;
 
 /// One labelled series of a figure.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Series {
     /// Legend label (matches the paper's legends, e.g. "LOCO CC+VMS").
     pub label: String,
@@ -40,7 +39,6 @@ impl Series {
 
 /// A reproduced figure (or table) of the paper.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Figure {
     /// Identifier, e.g. "fig11a".
     pub id: String,

@@ -67,7 +67,6 @@ fn sum_fj(terms: &[u64], what: &str) -> u64 {
 /// estimates; *relative* comparisons across organizations and NoCs are the
 /// reproduction target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyParams {
     /// Router input-buffer write (one packet latched).
     pub buffer_write_fj: u64,
@@ -209,7 +208,6 @@ impl EnergyParams {
 
 /// NoC energy by component, in femtojoules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkEnergy {
     /// Router input buffers (reads + writes).
     pub buffer_fj: u64,
@@ -244,7 +242,6 @@ impl NetworkEnergy {
 
 /// Cache-hierarchy energy by component, in femtojoules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheEnergy {
     /// L1 arrays (tags + data).
     pub l1_fj: u64,
@@ -273,7 +270,6 @@ impl CacheEnergy {
 /// exact (`Eq`) and the breakdown is as deterministic as the counters it is
 /// derived from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyBreakdown {
     /// NoC energy (buffers, crossbars, links, SSRs, pipelines, multicast).
     pub network: NetworkEnergy,

@@ -252,7 +252,6 @@ mod tests {
         assert_eq!(c.stop_hops, 7);
         // Injection plus 6 intermediate latchings (the destination ejects).
         assert_eq!(c.buffer_writes, 7);
-        assert_eq!(fab.buffer_writes(), 7);
         assert_eq!(c.ssr_broadcasts, 0, "no SSRs on a conventional fabric");
         assert_eq!(c.pipeline_passes, 0);
     }

@@ -8,7 +8,6 @@ use crate::topology::NodeId;
 /// protocol-level deadlock-avoidance technique used by GEMS/GARNET and
 /// assumed by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VirtualNetwork {
     /// L1→L2 and L2→directory/memory requests.
     Request,
@@ -47,12 +46,10 @@ impl VirtualNetwork {
 /// Identifier of a multicast group registered with
 /// [`crate::Network::register_multicast_group`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MulticastGroupId(pub u32);
 
 /// Where a message is going.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Destination {
     /// A single node.
     Unicast(NodeId),
@@ -69,7 +66,6 @@ pub enum Destination {
 /// the payload for every receiver, hence the `Clone` bound on most network
 /// operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetMessage<P> {
     /// Injecting node.
     pub src: NodeId,

@@ -486,18 +486,6 @@ impl<P: Clone> Network<P> {
         stats.fabric = *self.fabric.as_engine_ref().counters();
         stats
     }
-
-    /// The fabric's micro-architectural event counters (the raw inputs of
-    /// the event-energy model).
-    pub fn fabric_counters(&self) -> &crate::stats::FabricCounters {
-        self.fabric.as_engine_ref().counters()
-    }
-
-    /// Total router-buffer writes performed by the fabric (a proxy for
-    /// buffer energy; SMART's raison d'être is keeping this low).
-    pub fn buffer_writes(&self) -> u64 {
-        self.fabric.as_engine_ref().buffer_writes()
-    }
 }
 
 impl<P> fmt::Debug for Network<P> {
@@ -650,7 +638,7 @@ mod tests {
         assert!(net.stats().avg_latency() > 0.0);
         // The snapshot carries the fabric's event counters.
         let stats = net.stats();
-        assert_eq!(stats.fabric, *net.fabric_counters());
+        assert_eq!(stats.fabric, *net.fabric.as_engine_ref().counters());
         assert!(stats.fabric.ssr_broadcasts >= 4, "SMART fabric issues SSRs");
         assert!(stats.fabric.buffer_writes >= 4, "one write per injection");
     }

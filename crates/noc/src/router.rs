@@ -681,12 +681,6 @@ pub trait FabricEngine {
     fn counters(&self) -> &FabricCounters {
         &self.core().counters
     }
-
-    /// Total number of router-buffer writes so far (a proxy for buffer
-    /// energy and for SMART premature stops).
-    fn buffer_writes(&self) -> u64 {
-        self.counters().buffer_writes
-    }
 }
 
 #[cfg(test)]

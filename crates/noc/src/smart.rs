@@ -387,6 +387,6 @@ mod tests {
         drain(&mut fab, 20);
         // One injection write, no intermediate stop writes (the single
         // SMART-hop goes straight to the destination).
-        assert_eq!(fab.buffer_writes(), 1);
+        assert_eq!(fab.counters().buffer_writes, 1);
     }
 }

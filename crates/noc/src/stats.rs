@@ -20,7 +20,6 @@ use crate::message::VirtualNetwork;
 /// (e.g. only SMART produces SSR events, only high-radix produces pipeline
 /// passes), so a zero simply means "this fabric has no such event".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FabricCounters {
     /// Packets latched into a router input buffer (injections plus every
     /// intermediate stop). SMART's raison d'être is keeping this low.
@@ -74,7 +73,6 @@ impl FabricCounters {
 
 /// Counters accumulated by a [`crate::Network`] over a simulation.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkStats {
     /// Messages handed to `inject` (multicasts count once).
     pub injected_messages: u64,

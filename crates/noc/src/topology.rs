@@ -18,7 +18,6 @@ use std::fmt;
 /// assert_eq!(mesh.coord(n).y, 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -50,7 +49,6 @@ impl fmt::Display for NodeId {
 /// northwards, matching the figures in the paper (router `30` is the
 /// north-west corner of a 4x4 mesh).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Coord {
     /// Column (0 = west edge).
     pub x: u16,
@@ -81,7 +79,6 @@ impl fmt::Display for Coord {
 /// `Local` is the ejection/injection port connecting the router to the tile's
 /// network interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Direction {
     /// Towards larger `x`.
     East,
@@ -156,7 +153,6 @@ impl fmt::Display for Direction {
 
 /// A rectangular mesh of `width x height` tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mesh {
     width: u16,
     height: u16,

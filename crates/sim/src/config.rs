@@ -14,7 +14,6 @@ use loco_noc::{Mesh, NocConfig, RouterKind};
 /// with 5 VNs x 4 VCs and 16-byte links, `HPCmax` = 4, a 10-cycle directory
 /// and four 200-cycle memory controllers on the chip edges.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemConfig {
     /// Mesh width in tiles.
     pub mesh_width: u16,
@@ -31,29 +30,13 @@ pub struct SystemConfig {
     /// L1 geometry.
     pub l1: CacheGeometry,
     /// L2 slice configuration.
-    #[cfg_attr(feature = "serde", serde(skip, default = "default_l2"))]
     pub l2: L2Config,
     /// Global directory configuration.
-    #[cfg_attr(feature = "serde", serde(skip, default = "default_dir"))]
     pub dir: DirectoryConfig,
     /// Memory-controller configuration.
-    #[cfg_attr(feature = "serde", serde(skip, default = "default_mem"))]
     pub mem: MemoryConfig,
     /// Model barrier synchronization (full-system replay mode).
     pub full_system: bool,
-}
-
-#[cfg(feature = "serde")]
-fn default_l2() -> L2Config {
-    L2Config::default()
-}
-#[cfg(feature = "serde")]
-fn default_dir() -> DirectoryConfig {
-    DirectoryConfig::default()
-}
-#[cfg(feature = "serde")]
-fn default_mem() -> MemoryConfig {
-    MemoryConfig::default()
 }
 
 impl SystemConfig {

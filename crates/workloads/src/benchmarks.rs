@@ -14,7 +14,6 @@
 
 /// How a benchmark's shared data is communicated between threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SharingPattern {
     /// Shared data is mostly exchanged between neighbouring threads
     /// (blocked/stencil codes, pipelines).
@@ -26,7 +25,6 @@ pub enum SharingPattern {
 
 /// The benchmarks used in the paper's figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)]
 pub enum Benchmark {
     Barnes,
@@ -263,7 +261,6 @@ impl Benchmark {
 /// fine-grained skip horizon exists for (they are its benchmark *and* its
 /// regression trap: see `tests/equivalence.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StressKind {
     /// Tight global barrier phases: a short burst of chip-wide shared
     /// traffic, then every core parks at a barrier until the slowest
@@ -329,7 +326,6 @@ impl StressKind {
 /// The behavioural model of one benchmark, consumed by
 /// [`crate::trace::TraceGenerator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BenchmarkSpec {
     /// Which benchmark this models.
     pub benchmark: Benchmark,

@@ -12,7 +12,6 @@ use crate::trace::{CoreTrace, TraceGenerator};
 /// One task of a multi-program workload: `instances` copies of `benchmark`,
 /// each running with `threads` threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskSpec {
     /// The program.
     pub benchmark: Benchmark,
@@ -24,7 +23,6 @@ pub struct TaskSpec {
 
 /// The mapping of one task instance onto cores.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskAssignment {
     /// The program.
     pub benchmark: Benchmark,
@@ -36,7 +34,6 @@ pub struct TaskAssignment {
 
 /// A multi-program workload: a list of tasks filling the 64-core CMP.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiProgramWorkload {
     name: &'static str,
     tasks: Vec<TaskSpec>,

@@ -26,7 +26,6 @@ const REGION_STRIDE_LINES: u64 = 999_983;
 
 /// One replayed instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceOp {
     /// A load from the given byte address.
     Read(u64),
@@ -52,7 +51,6 @@ impl TraceOp {
 
 /// The instruction trace of one core.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreTrace {
     ops: Vec<TraceOp>,
 }

@@ -64,7 +64,11 @@ if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml 
     echo "noc_synth did not reproduce its recorded fingerprints"; cat target/noc_synth_err.txt; exit 1
 fi
 
-echo "==> bench smoke (--quick campaign, timings to target/)"
-sh scripts/bench.sh --quick --samples 1 --out target/BENCH_smoke.json
+echo "==> stall-stress benchmark (six Fig-19 scenarios, event-driven run; recorded run_naive fingerprints must match)"
+if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload stall16 --seed 42 --seconds 1 --trace 0 > target/stall16.txt 2>target/stall16_err.txt \
+    || ! tail -n 1 target/stall16.txt | grep -q '"correct": true'; then
+    echo "stall16 did not reproduce its recorded fingerprints"; cat target/stall16_err.txt; exit 1
+fi
 
 echo "==> verify OK"
