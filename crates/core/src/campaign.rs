@@ -42,6 +42,7 @@ use loco_energy::{EnergyBreakdown, EnergyParams};
 use loco_noc::{FxHashMap, FxHashSet, RouterKind};
 use loco_sim::{CmpSystem, SimResults};
 use loco_workloads::{Benchmark, MultiProgramWorkload, StressKind, TraceGenerator};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -447,48 +448,66 @@ impl Executor {
     }
 
     /// Runs every scenario of the plan and returns the completed results.
+    ///
+    /// # Panics
+    ///
+    /// If a scenario panics, with a message naming its
+    /// [`Scenario::label`] and the original panic message. With several
+    /// failures, the first in plan order is reported.
     pub fn execute(&self, params: &ExperimentParams, plan: &CampaignPlan) -> ResultSet {
         let scenarios = plan.scenarios();
         let n = scenarios.len();
         let workers = self.threads.min(n).max(1);
-        let mut slots: Vec<Option<Arc<SimResults>>> = Vec::with_capacity(n);
+        let mut results = ResultSet::new();
         if workers <= 1 {
             // Inline fast path: no thread or lock overhead for sequential
             // execution.
-            slots.extend(
-                scenarios
-                    .iter()
-                    .map(|&s| Some(Arc::new(run_scenario(params, s)))),
-            );
-        } else {
-            let locked: Vec<Mutex<Option<Arc<SimResults>>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let result = Arc::new(run_scenario(params, scenarios[i]));
-                        *locked[i].lock().expect("slot lock") = Some(result);
-                    });
-                }
-            });
-            slots.extend(
-                locked
-                    .into_iter()
-                    .map(|m| m.into_inner().expect("slot lock")),
-            );
+            for &s in scenarios {
+                results.insert(s, run_named(params, s).unwrap_or_else(|e| panic!("{e}")));
+            }
+            return results;
         }
-        let mut results = ResultSet::new();
-        for (i, &scenario) in scenarios.iter().enumerate() {
-            let r = slots[i].take().expect("every planned scenario was executed");
-            results.insert(scenario, r);
+        let slots: Vec<Mutex<Option<Outcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = run_named(params, scenarios[i]);
+                    *slots[i].lock().expect("slot lock") = Some(result);
+                });
+            }
+        });
+        for (slot, &s) in slots.into_iter().zip(scenarios) {
+            let r = slot
+                .into_inner()
+                .expect("slot lock")
+                .expect("every planned scenario was executed");
+            results.insert(s, r.unwrap_or_else(|e| panic!("{e}")));
         }
         results
     }
+}
+
+/// A scenario's result, or the message of the panic it raised.
+type Outcome = Result<Arc<SimResults>, String>;
+
+/// Runs one scenario, turning a panic inside it into an error that names the
+/// scenario: unwinding through the executor would lose which one failed.
+fn run_named(params: &ExperimentParams, scenario: Scenario) -> Outcome {
+    std::panic::catch_unwind(AssertUnwindSafe(|| run_scenario(params, scenario)))
+        .map(Arc::new)
+        .map_err(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("(non-string panic payload)");
+            format!("scenario {} panicked: {msg}", scenario.label())
+        })
 }
 
 /// A declarative description of one figure of the paper: which scenarios it

@@ -163,7 +163,7 @@ impl CoreModel {
             self.instructions += 1;
             return CoreStatus::Running;
         }
-        let Some(&op) = self.trace.ops().get(self.pc) else {
+        let Some(op) = self.trace.op(self.pc) else {
             self.finished_at = Some(now);
             return CoreStatus::Finished;
         };

@@ -210,7 +210,7 @@ impl CmpSystem {
 
         let mut barriers = BarrierTracker::default();
         for (i, g) in groups.iter().enumerate() {
-            if !traces[i].ops().is_empty() {
+            if !traces[i].is_empty() {
                 *barriers.group_sizes.entry(*g).or_insert(0) += 1;
             }
         }

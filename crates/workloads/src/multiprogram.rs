@@ -144,8 +144,8 @@ impl MultiProgramWorkload {
             let traces = TraceGenerator::new(seed)
                 .with_task_offset(assignment.task_id as u64 + 1)
                 .generate(&spec, assignment.cores.len(), mem_ops_per_thread);
-            for (thread, core) in assignment.cores.iter().enumerate() {
-                per_core[*core] = traces[thread].clone();
+            for (trace, &core) in traces.into_iter().zip(&assignment.cores) {
+                per_core[core] = trace;
             }
         }
         per_core
@@ -205,7 +205,7 @@ mod tests {
         let lines_of_task = |task: &TaskAssignment| -> HashSet<u64> {
             task.cores
                 .iter()
-                .flat_map(|&c| traces[c].ops().iter())
+                .flat_map(|&c| traces[c].ops())
                 .filter_map(|o| match o {
                     TraceOp::Read(a) | TraceOp::Write(a) => Some(a / 32),
                     _ => None,

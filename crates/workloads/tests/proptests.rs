@@ -71,7 +71,6 @@ fn write_fraction_is_respected() {
         let traces = TraceGenerator::new(seed).generate(&spec, 1, 3_000);
         let writes = traces[0]
             .ops()
-            .iter()
             .filter(|o| matches!(o, TraceOp::Write(_)))
             .count() as f64;
         let measured = writes / 3_000.0;
@@ -104,7 +103,6 @@ fn zero_shared_fraction_means_disjoint_threads() {
         for t in &traces {
             let lines: HashSet<u64> = t
                 .ops()
-                .iter()
                 .filter_map(|o| match o {
                     TraceOp::Read(a) | TraceOp::Write(a) => Some(a / 32),
                     _ => None,
@@ -134,9 +132,8 @@ fn task_offsets_never_collide() {
         let b = TraceGenerator::new(seed).with_task_offset(t2).generate(&spec, 1, 300);
         let lines = |t: &loco_workloads::CoreTrace| -> HashSet<u64> {
             t.ops()
-                .iter()
                 .filter_map(|o| match o {
-                    TraceOp::Read(a) | TraceOp::Write(a) => Some(*a),
+                    TraceOp::Read(a) | TraceOp::Write(a) => Some(a),
                     _ => None,
                 })
                 .collect()

@@ -35,6 +35,10 @@ cargo build --release --offline -q -p loco-bench --bin reproduce
 cmp target/campaign_t1.txt target/campaign_t4.txt
 cmp target/campaign_t1.json target/campaign_t4.json
 
+echo "==> EXPERIMENTS.md regenerates byte for byte (quick params, every figure)"
+./target/release/reproduce --params quick --figures all --markdown target/EXPERIMENTS.md > /dev/null 2>&1
+cmp target/EXPERIMENTS.md EXPERIMENTS.md
+
 echo "==> energy-figure smoke (fig17/fig18 on quick params, 1-vs-4-thread byte identity)"
 ./target/release/reproduce --params quick --figures fig17,fig18 --threads 4 --json target/energy_t4.json > target/energy_t4.txt 2>/dev/null
 ./target/release/reproduce --params quick --figures fig17,fig18 --threads 1 --json target/energy_t1.json > target/energy_t1.txt 2>/dev/null

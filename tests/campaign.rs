@@ -1,6 +1,6 @@
 //! Integration tests of the campaign engine (plan / execute / assemble):
-//! plans deduplicate across figures and the parallel executor is
-//! thread-count-invariant.
+//! plans deduplicate across figures, the parallel executor is
+//! thread-count-invariant, and a panicking scenario is named.
 
 use loco::campaign::{CampaignPlan, Executor, FigureSpec, Scenario};
 use loco::{Benchmark, ExperimentParams, Figure, OrganizationKind};
@@ -144,4 +144,32 @@ fn executor_handles_plans_smaller_than_the_worker_count() {
     assert_eq!(results.len(), 1);
     let empty = Executor::new(8).execute(&params, &CampaignPlan::new());
     assert!(empty.is_empty());
+}
+
+#[test]
+fn a_panicking_scenario_is_named_by_its_label() {
+    let params = quick();
+    let mut plan = CampaignPlan::new();
+    plan.add(Scenario::default_trace(
+        &params,
+        Benchmark::Lu,
+        OrganizationKind::Shared,
+    ));
+    // Table 2 has workloads W0-W9, so W10 panics inside `run_scenario`.
+    let bad = Scenario::MultiProgram {
+        workload: 10,
+        org: OrganizationKind::Shared,
+    };
+    plan.add(bad);
+    for threads in [1, 2] {
+        let payload = std::panic::catch_unwind(|| Executor::new(threads).execute(&params, &plan))
+            .expect_err("the W10 scenario must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the executor re-panics with a formatted message");
+        assert!(
+            msg.contains(&bad.label()) && msg.contains("workload index"),
+            "{threads} thread(s): {msg}"
+        );
+    }
 }

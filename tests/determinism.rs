@@ -28,7 +28,7 @@ fn trace_generation_matches_golden_fingerprint() {
     let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
     for trace in &traces {
         for op in trace.ops() {
-            let (tag, payload) = match *op {
+            let (tag, payload) = match op {
                 loco_workloads::TraceOp::Read(a) => (1u64, a),
                 loco_workloads::TraceOp::Write(a) => (2, a),
                 loco_workloads::TraceOp::Compute(n) => (3, u64::from(n)),
