@@ -57,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytical;
 pub mod config;
 pub mod conventional;
 pub mod fx;
@@ -70,6 +69,7 @@ pub mod smart;
 pub mod stats;
 pub mod topology;
 pub mod vms;
+pub mod wheel;
 
 pub use config::{NocConfig, RouterKind};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
@@ -79,3 +79,4 @@ pub use rng::SplitMix64;
 pub use stats::{FabricCounters, NetworkStats};
 pub use topology::{Coord, Direction, Mesh, NodeId};
 pub use vms::VirtualMesh;
+pub use wheel::TimingWheel;

@@ -10,8 +10,8 @@ use crate::smart::SmartFabric;
 use crate::stats::NetworkStats;
 use crate::topology::{Direction, NodeId};
 use crate::vms::MulticastTree;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use crate::wheel::TimingWheel;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Error returned by [`Network::inject`] when the source NIC's injection
@@ -77,33 +77,6 @@ struct PacketRecord<P> {
     travelling: Option<Direction>,
 }
 
-/// One fabric arrival waiting out its (multi-flit) release time, ordered for
-/// the min-heap by `(release cycle, insertion order)`. All arrivals released
-/// at one tick share the same release cycle, so the insertion-order tiebreak
-/// makes the heap pop order bit-identical to the old in-order scan of the
-/// in-flight list.
-struct QueuedArrival {
-    seq: u64,
-    arrival: Arrival,
-}
-
-impl PartialEq for QueuedArrival {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for QueuedArrival {}
-impl Ord for QueuedArrival {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.arrival.now, self.seq).cmp(&(other.arrival.now, other.seq))
-    }
-}
-impl PartialOrd for QueuedArrival {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A cycle-driven on-chip network carrying messages with payload type `P`.
 ///
 /// See the crate-level documentation for an end-to-end example.
@@ -116,14 +89,11 @@ pub struct Network<P> {
     /// a slab whose vacated slots are recycled through `free_ids`.
     packets: Vec<Option<PacketRecord<P>>>,
     free_ids: Vec<u32>,
-    pending: BinaryHeap<Reverse<QueuedArrival>>,
-    next_arrival_seq: u64,
-    /// Scratch buffer handed to the fabric each tick (avoids a per-cycle
-    /// allocation on the hot path).
+    /// Fabric arrivals waiting out their (multi-flit) release cycle.
+    pending: TimingWheel<Arrival>,
+    /// Scratch buffer handed to the fabric each tick, then reused for the
+    /// released arrivals (avoids a per-cycle allocation on the hot path).
     arrivals_scratch: Vec<Arrival>,
-    /// Scratch for arrivals that complete in the very tick they are produced
-    /// (the common single-flit case) — they bypass the heap entirely.
-    due_scratch: Vec<Arrival>,
     eject_queues: Vec<VecDeque<Delivered<P>>>,
     /// Total messages sitting in `eject_queues` (lets `eject_all` skip the
     /// per-node scan on quiet cycles).
@@ -151,10 +121,8 @@ impl<P: Clone> Network<P> {
             groups: Vec::new(),
             packets: Vec::new(),
             free_ids: Vec::new(),
-            pending: BinaryHeap::new(),
-            next_arrival_seq: 0,
+            pending: TimingWheel::new(),
             arrivals_scratch: Vec::new(),
-            due_scratch: Vec::new(),
             eject_queues: (0..cfg.mesh.len()).map(|_| VecDeque::new()).collect(),
             ejectable: 0,
             stats: NetworkStats::default(),
@@ -194,7 +162,7 @@ impl<P: Clone> Network<P> {
 
     /// Whether the injection port at `node` can accept a message on `vn`
     /// this cycle.
-    pub fn can_inject(&self, node: NodeId, vn: VirtualNetwork) -> bool {
+    fn can_inject(&self, node: NodeId, vn: VirtualNetwork) -> bool {
         self.fabric.as_engine_ref().can_accept(node, vn)
     }
 
@@ -314,43 +282,26 @@ impl<P: Clone> Network<P> {
     /// Advances the network by one cycle.
     pub fn tick(&mut self) {
         let mut arrivals = std::mem::take(&mut self.arrivals_scratch);
-        let mut due = std::mem::take(&mut self.due_scratch);
-        debug_assert!(arrivals.is_empty() && due.is_empty());
+        debug_assert!(arrivals.is_empty());
         self.fabric.as_engine().tick(self.cycle, &mut arrivals);
-        // Fabric arrival times are always in the future (`> self.cycle`);
-        // those due on the very next cycle — the common single-flit case —
-        // bypass the heap. Heap entries released this tick are all timed at
-        // exactly `cycle + 1` too (earlier ones were released last tick) and
-        // carry smaller sequence numbers, so "heap first, then fresh
-        // arrivals in production order" reproduces the naive in-order scan
-        // of the old in-flight list bit for bit.
+        // Fabric arrival times are always in the future (`> self.cycle`).
+        // Every arrival waits in the wheel for its release cycle, queued
+        // behind the older arrivals due at the same cycle. The release order
+        // is therefore (release cycle, production order): the order of a
+        // naive in-order scan of every packet in flight.
         for arrival in arrivals.drain(..) {
             debug_assert!(arrival.now > self.cycle);
-            if arrival.now == self.cycle + 1 {
-                due.push(arrival);
-            } else {
-                let seq = self.next_arrival_seq;
-                self.next_arrival_seq += 1;
-                self.pending.push(Reverse(QueuedArrival { seq, arrival }));
-            }
+            self.pending.push(arrival.now, arrival);
+        }
+        self.cycle += 1;
+        // Release the arrivals whose (possibly multi-flit) arrival time has
+        // been reached: most are due on this very cycle (the single-flit
+        // case) and come out of one wheel bucket.
+        self.pending.drain_due(self.cycle, &mut arrivals);
+        for arrival in arrivals.drain(..) {
+            self.complete(arrival);
         }
         self.arrivals_scratch = arrivals;
-        self.cycle += 1;
-        // Release arrivals whose (possibly multi-flit) arrival time has been
-        // reached — an O(log n) heap pop per due arrival instead of the old
-        // O(in-flight) re-partition of the whole list every cycle.
-        while let Some(Reverse(q)) = self.pending.peek() {
-            if q.arrival.now > self.cycle {
-                break;
-            }
-            let Reverse(q) = self.pending.pop().expect("peeked element");
-            self.complete(q.arrival);
-        }
-        for i in 0..due.len() {
-            self.complete(due[i]);
-        }
-        due.clear();
-        self.due_scratch = due;
     }
 
     /// Earliest cycle `>= self.cycle` at which [`Network::tick`] can change
@@ -358,8 +309,8 @@ impl<P: Clone> Network<P> {
     /// or `None` when the network is fully quiescent. Event-driven callers
     /// use this to skip dead cycles via [`Network::advance_to`].
     ///
-    /// The bound holds under *partial occupancy*: the queued-arrival heap
-    /// front (multi-flit releases, high-radix pipeline exits) is folded with
+    /// The bound holds under *partial occupancy*: the earliest queued
+    /// arrival (multi-flit releases, high-radix pipeline exits) is folded with
     /// the fabric engine's per-head probe, so a network holding blocked or
     /// serializing packets still reports a future horizon instead of
     /// degenerating to "busy". Already-delivered messages waiting in
@@ -372,8 +323,8 @@ impl<P: Clone> Network<P> {
         // that is the cycle the caller must not skip past.
         let pending = self
             .pending
-            .peek()
-            .map(|Reverse(q)| q.arrival.now.saturating_sub(1).max(self.cycle));
+            .next_ready()
+            .map(|ready| ready.saturating_sub(1).max(self.cycle));
         let fabric = self.fabric.as_engine_ref().next_event(self.cycle);
         match (pending, fabric) {
             (Some(a), Some(b)) => Some(a.min(b)),

@@ -13,7 +13,7 @@
 //! the best-case latency is 2 cycles per SMART-hop (SSR, then ST+LT).
 
 use crate::config::NocConfig;
-use crate::router::{Arrival, Buffered, FabricEngine, RouterCore, SwitchPolicy};
+use crate::router::{Arrival, Buffered, FabricEngine, RouteTable, RouterCore, SwitchPolicy};
 use crate::topology::{Direction, NodeId};
 
 /// A granted SMART Setup Request: the head of `lane` at `start` intends to
@@ -42,36 +42,56 @@ impl SwitchPolicy for SsrGrants {
     }
 }
 
+/// Index of the (router, direction) pair an SSR starts from.
+fn start_index(node: NodeId, dir: Direction) -> usize {
+    node.index() * 4 + dir.index()
+}
+
+/// Walks the path `ssr` traverses this cycle under nearer-flit priority:
+/// its whole SMART-hop, or up to the first router downstream of its start
+/// (on its line, in its direction) where another SSR starts. `started`
+/// marks the start (router, direction) of every SSR granted this cycle.
+/// Calls `cross` with each router whose outgoing link the flit crosses, and
+/// returns the stop router and the hops travelled.
+fn travel(
+    routes: &RouteTable,
+    started: &[bool],
+    ssr: &Ssr,
+    mut cross: impl FnMut(NodeId),
+) -> (NodeId, u16) {
+    let (mut at, mut hops) = (ssr.start, 0);
+    loop {
+        cross(at);
+        at = routes.advance(at, ssr.dir, 1);
+        hops += 1;
+        if hops == ssr.want_hops || started[start_index(at, ssr.dir)] {
+            return (at, hops);
+        }
+    }
+}
+
 /// The SMART-NoC fabric engine.
 #[derive(Debug)]
 pub struct SmartFabric {
-    hpc_max: u16,
     core: RouterCore,
     // Persistent per-tick scratch (the per-cycle tick is the simulator's
     // hottest loop; steady state must not allocate).
     ssrs: SsrGrants,
-    /// `claimed[node * 4 + dir]`: the link leaving `node` in `dir` has been
-    /// claimed this cycle; only the dirtied entries are reset.
-    claimed_scratch: Vec<bool>,
-    claimed_dirty: Vec<usize>,
-    travel_scratch: Vec<u16>,
-    active_scratch: Vec<bool>,
+    /// `started[node * 4 + dir]`: an SSR starts at `node` in `dir` this
+    /// cycle; set and reset through the SSR list.
+    started: Vec<bool>,
 }
 
 impl SmartFabric {
     /// Builds the fabric for the given configuration.
     pub fn new(cfg: NocConfig) -> Self {
         SmartFabric {
-            hpc_max: cfg.hpc_max,
             // A SMART-hop covers the rest of the current dimension up to
             // HPCmax (SMART-1D stops at the turn router); one link per
             // direction.
             core: RouterCore::new(&cfg, cfg.hpc_max, false),
             ssrs: SsrGrants::default(),
-            claimed_scratch: vec![false; cfg.mesh.len() * 4],
-            claimed_dirty: Vec::new(),
-            travel_scratch: Vec::new(),
-            active_scratch: Vec::new(),
+            started: vec![false; cfg.mesh.len() * 4],
         }
     }
 
@@ -109,80 +129,41 @@ impl FabricEngine for SmartFabric {
         self.core.counters.ssr_broadcasts += ssrs.len() as u64;
         self.core.counters.ssr_hops += ssrs.iter().map(|s| u64::from(s.want_hops)).sum::<u64>();
 
-        // Phase 2 — SSR arbitration with nearer-flit priority.
-        //
-        // Links are claimed in rounds of increasing distance from each SSR's
-        // start router: a flit claiming the link out of its own router
-        // (round 1) always beats a flit trying to bypass through that router
-        // (round >= 2), which is exactly the "prioritize local/nearer flits"
-        // rule of the SMART paper. An SSR whose claim fails is truncated and
-        // its flit stops (is prematurely buffered) at the router before the
-        // contended link.
-        let claimed = &mut self.claimed_scratch;
-        debug_assert!(claimed.iter().all(|c| !c) && self.claimed_dirty.is_empty());
-        // travel[i] = hops SSR i actually gets to traverse this cycle.
-        let travel = &mut self.travel_scratch;
-        travel.clear();
-        travel.resize(ssrs.len(), 0);
-        let active = &mut self.active_scratch;
-        active.clear();
-        active.resize(ssrs.len(), true);
-        for round in 0..self.hpc_max {
-            for (i, ssr) in ssrs.iter().enumerate() {
-                if !active[i] || round >= ssr.want_hops {
-                    active[i] = false;
-                    continue;
-                }
-                // Router the flit sits at after `round` hops.
-                let at = self.core.routes.advance(ssr.start, ssr.dir, round);
-                let idx = at.index() * 4 + ssr.dir.index();
-                if claimed[idx] {
-                    // Lost to a nearer flit: stop here.
-                    active[i] = false;
-                    if travel[i] > 0 {
-                        self.core.counters.premature_stops += 1;
-                    }
-                } else {
-                    claimed[idx] = true;
-                    self.claimed_dirty.push(idx);
-                    travel[i] += 1;
-                }
-            }
-        }
-        // `want_hops <= hpc_max`, the number of rounds, so an SSR still
-        // active after the last round travelled its whole SMART-hop: no flit
-        // is truncated by running out of rounds.
-        debug_assert!((ssrs.iter().zip(active.iter()).zip(travel.iter()))
-            .all(|((s, &a), &t)| !a || t == s.want_hops));
-        for idx in self.claimed_dirty.drain(..) {
-            claimed[idx] = false;
+        // Phase 2 — SSR arbitration with nearer-flit priority: a flit
+        // claiming the link out of its own router always beats a flit trying
+        // to bypass through that router, which is the "prioritize
+        // local/nearer flits" rule of the SMART paper (Fig. 2c). SMART is
+        // 1-D and switch allocation grants at most one head per (router,
+        // direction), so every SSR wins its own first link, and a bypassing
+        // SSR loses exactly at the first router downstream on its line where
+        // another SSR in its direction starts: no other SSR reaches a link of
+        // its path earlier. Each SSR therefore travels
+        // min(want_hops, distance to the next downstream start) and stops
+        // (is prematurely buffered) at the router before the contended link.
+        for ssr in ssrs {
+            self.started[start_index(ssr.start, ssr.dir)] = true;
         }
 
         // Phase 3 — single-cycle multi-hop traversal (ST + LT) of the
         // granted paths. The flit is latched at the stop router at the end of
         // the next cycle; every claimed link is held for the packet length.
-        for (ssr, &hops) in ssrs.iter().zip(travel.iter()) {
-            if hops == 0 {
-                continue;
-            }
+        for ssr in ssrs {
             let Buffered { flight, route, .. } = self.core.pop(ssr.start, ssr.lane);
             let flits = u64::from(flight.flits);
+            let RouterCore { routes, links, .. } = &mut self.core;
+            let (stop, hops) = travel(routes, &self.started, ssr, |node| {
+                links.occupy(node, usize::from(route.link), now + flits)
+            });
             // Event accounting: one buffer read (in `pop`) at the start
             // router, then the pre-set path crosses the crossbar of every
             // router it leaves (start + bypassed intermediates) and `hops`
             // links; only the stop router latches the flit.
             let c = &mut self.core.counters;
+            c.premature_stops += u64::from(hops < ssr.want_hops);
             c.crossbar_traversals += u64::from(hops);
             c.link_flit_hops += u64::from(hops) * flits;
             c.bypass_hops += u64::from(hops) - 1;
             c.stop_hops += 1;
-            for h in 0..hops {
-                let link_node = self.core.routes.advance(ssr.start, ssr.dir, h);
-                self.core
-                    .links
-                    .occupy(link_node, usize::from(route.link), now + flits);
-            }
-            let stop = self.core.routes.advance(ssr.start, ssr.dir, hops);
             let arrival_cycle = now + 1 + (flits - 1);
             self.core.land(
                 flight,
@@ -193,6 +174,9 @@ impl FabricEngine for SmartFabric {
                 arrivals,
             );
         }
+        for ssr in ssrs {
+            self.started[start_index(ssr.start, ssr.dir)] = false;
+        }
         self.ssrs.0.clear();
     }
 }
@@ -201,7 +185,9 @@ impl FabricEngine for SmartFabric {
 mod tests {
     use super::*;
     use crate::message::VirtualNetwork;
+    use crate::rng::SplitMix64;
     use crate::router::{FlightInfo, PacketId};
+    use crate::topology::Mesh;
 
     fn flight(id: u32, src: u16, dest: u16, flits: u32) -> FlightInfo {
         FlightInfo {
@@ -388,5 +374,131 @@ mod tests {
         // One injection write, no intermediate stop writes (the single
         // SMART-hop goes straight to the destination).
         assert_eq!(fab.counters().buffer_writes, 1);
+    }
+
+    /// The round-based SSR arbitration that `travel` replaced, kept as its
+    /// oracle: links are claimed in rounds of increasing distance from each
+    /// SSR's start, so a flit claiming the link out of its own router
+    /// (round 0) beats every flit bypassing through that router. Returns
+    /// each SSR's travel and the number of premature stops.
+    fn round_based_travel(routes: &RouteTable, hpc_max: u16, ssrs: &[Ssr]) -> (Vec<u16>, u64) {
+        let mut claimed = std::collections::HashSet::new();
+        let mut travel = vec![0; ssrs.len()];
+        let mut active = vec![true; ssrs.len()];
+        let mut premature = 0;
+        for round in 0..hpc_max {
+            for (i, ssr) in ssrs.iter().enumerate() {
+                if !active[i] || round >= ssr.want_hops {
+                    active[i] = false;
+                    continue;
+                }
+                let at = routes.advance(ssr.start, ssr.dir, round);
+                if claimed.insert(start_index(at, ssr.dir)) {
+                    travel[i] += 1;
+                } else {
+                    active[i] = false;
+                    if travel[i] > 0 {
+                        premature += 1;
+                    }
+                }
+            }
+        }
+        (travel, premature)
+    }
+
+    /// The hops `travel` gives every SSR, and the premature stops they
+    /// imply.
+    fn one_pass_travel(routes: &RouteTable, nodes: usize, ssrs: &[Ssr]) -> (Vec<u16>, u64) {
+        let mut started = vec![false; nodes * 4];
+        for ssr in ssrs {
+            started[start_index(ssr.start, ssr.dir)] = true;
+        }
+        let hops: Vec<u16> = ssrs
+            .iter()
+            .map(|ssr| travel(routes, &started, ssr, |_| {}).1)
+            .collect();
+        let premature = ssrs
+            .iter()
+            .zip(&hops)
+            .filter(|(s, &h)| h < s.want_hops)
+            .count();
+        (hops, premature as u64)
+    }
+
+    /// A random SSR set as switch allocation grants it: at most one SSR per
+    /// (router, direction), each wanting 1..=min(HPCmax, hops to the mesh
+    /// edge), listed in a random order.
+    fn random_ssrs(rng: &mut SplitMix64, mesh: Mesh, hpc_max: u16, density: f64) -> Vec<Ssr> {
+        let mut ssrs = Vec::new();
+        for start in mesh.nodes() {
+            let c = mesh.coord(start);
+            for dir in Direction::CARDINAL {
+                let to_edge = match dir {
+                    Direction::East => mesh.width() - 1 - c.x,
+                    Direction::West => c.x,
+                    Direction::North => mesh.height() - 1 - c.y,
+                    _ => c.y,
+                };
+                if to_edge == 0 || !rng.gen_bool(density) {
+                    continue;
+                }
+                let want_hops = 1 + rng.next_below(u64::from(to_edge.min(hpc_max))) as u16;
+                ssrs.push(Ssr {
+                    start,
+                    lane: 0,
+                    dir,
+                    want_hops,
+                });
+            }
+        }
+        for i in (1..ssrs.len()).rev() {
+            ssrs.swap(i, rng.index(i + 1));
+        }
+        ssrs
+    }
+
+    #[test]
+    fn one_pass_arbitration_matches_the_round_based_rule() {
+        let mut rng = SplitMix64::new(0x55_2c);
+        for (width, height) in [(8, 8), (8, 1)] {
+            let mesh = Mesh::new(width, height);
+            for hpc_max in 1..=4 {
+                let routes = RouteTable::new(mesh, hpc_max, false);
+                for case in 0..200 {
+                    let density = [0.1, 0.5, 0.9][case % 3];
+                    let ssrs = random_ssrs(&mut rng, mesh, hpc_max, density);
+                    assert_eq!(
+                        one_pass_travel(&routes, mesh.len(), &ssrs),
+                        round_based_travel(&routes, hpc_max, &ssrs),
+                        "{width}x{height} HPCmax {hpc_max} case {case}: {ssrs:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fig2c_chain_stops_each_flit_at_the_next_start() {
+        // Three eastbound SSRs on one line, each wanting a full SMART-hop:
+        // the two upstream flits lose the link out of the next SSR's start
+        // router; the front one travels its whole SMART-hop.
+        let mesh = Mesh::new(8, 1);
+        let routes = RouteTable::new(mesh, 4, false);
+        let ssr = |start, want_hops| Ssr {
+            start: NodeId(start),
+            lane: 0,
+            dir: Direction::East,
+            want_hops,
+        };
+        let chain = [ssr(0, 4), ssr(1, 4), ssr(2, 4)];
+        let expected = (vec![1, 1, 4], 2);
+        assert_eq!(one_pass_travel(&routes, mesh.len(), &chain), expected);
+        assert_eq!(round_based_travel(&routes, 4, &chain), expected);
+        // A start beyond the SMART-hop does not truncate it.
+        let apart = [ssr(0, 3), ssr(3, 4)];
+        assert_eq!(
+            one_pass_travel(&routes, mesh.len(), &apart),
+            (vec![3, 4], 0)
+        );
     }
 }

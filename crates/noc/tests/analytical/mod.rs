@@ -1,13 +1,10 @@
-//! Closed-form, zero-load latency estimates for the three router kinds.
-//!
-//! These are not used by the cycle-driven simulator; they serve as quick
-//! estimates for sizing clusters, as documentation of the timing model, and
-//! as an independent cross-check in the property-based tests (the simulated
-//! zero-load latency must match the analytical value within a small constant
-//! injection/ejection overhead).
+//! Closed-form, zero-load latency estimates for the three router kinds:
+//! the oracle of the property-based tests (the simulated zero-load latency
+//! must match the analytical value within a small constant
+//! injection/ejection overhead), and a written-down statement of the timing
+//! model.
 
-use crate::config::{NocConfig, RouterKind};
-use crate::topology::NodeId;
+use loco_noc::{NocConfig, NodeId, RouterKind};
 
 /// Zero-load (no contention) latency, in cycles, of a single-flit message
 /// from `src` to `dest` under `cfg`, excluding NIC injection/ejection
@@ -62,46 +59,41 @@ pub fn zero_load_broadcast_latency(
     (u64::from(horiz_levels) + u64::from(vert_levels)) * per_level
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn smart_corner_to_corner_is_8_cycles() {
+    let cfg = NocConfig::smart_mesh(8, 8, 4);
+    assert_eq!(zero_load_latency(&cfg, NodeId(0), NodeId(63)), 8);
+}
 
-    #[test]
-    fn smart_corner_to_corner_is_8_cycles() {
-        let cfg = NocConfig::smart_mesh(8, 8, 4);
-        assert_eq!(zero_load_latency(&cfg, NodeId(0), NodeId(63)), 8);
-    }
+#[test]
+fn conventional_corner_to_corner_is_28_cycles() {
+    let cfg = NocConfig::conventional_mesh(8, 8);
+    assert_eq!(zero_load_latency(&cfg, NodeId(0), NodeId(63)), 28);
+}
 
-    #[test]
-    fn conventional_corner_to_corner_is_28_cycles() {
-        let cfg = NocConfig::conventional_mesh(8, 8);
-        assert_eq!(zero_load_latency(&cfg, NodeId(0), NodeId(63)), 28);
-    }
+#[test]
+fn highradix_pays_pipeline_per_stop() {
+    let cfg = NocConfig::highradix_mesh(8, 8, 4);
+    // 14 hops = 4 express hops, each 4+1 cycles.
+    assert_eq!(zero_load_latency(&cfg, NodeId(0), NodeId(63)), 20);
+}
 
-    #[test]
-    fn highradix_pays_pipeline_per_stop() {
-        let cfg = NocConfig::highradix_mesh(8, 8, 4);
-        // 14 hops = 4 express hops, each 4+1 cycles.
-        assert_eq!(zero_load_latency(&cfg, NodeId(0), NodeId(63)), 20);
-    }
+#[test]
+fn serialization_adds_flits_minus_one() {
+    let cfg = NocConfig::smart_mesh(8, 8, 4);
+    let head = zero_load_latency(&cfg, NodeId(0), NodeId(4));
+    assert_eq!(
+        zero_load_latency_bytes(&cfg, NodeId(0), NodeId(4), 40),
+        head + 2
+    );
+}
 
-    #[test]
-    fn serialization_adds_flits_minus_one() {
-        let cfg = NocConfig::smart_mesh(8, 8, 4);
-        let head = zero_load_latency(&cfg, NodeId(0), NodeId(4));
-        assert_eq!(
-            zero_load_latency_bytes(&cfg, NodeId(0), NodeId(4), 40),
-            head + 2
-        );
-    }
-
-    #[test]
-    fn broadcast_latency_smart_2x2_clusters() {
-        let cfg = NocConfig::smart_mesh(8, 8, 4);
-        // Corner-rooted broadcast over 2x2 clusters: 1 horizontal + 1
-        // vertical level, 2 cycles each.
-        assert_eq!(zero_load_broadcast_latency(&cfg, 0, 0, 2, 2), 4);
-        // Centre-rooted on 4x4 clusters: 2 + 2 levels.
-        assert_eq!(zero_load_broadcast_latency(&cfg, 1, 2, 4, 4), 8);
-    }
+#[test]
+fn broadcast_latency_smart_2x2_clusters() {
+    let cfg = NocConfig::smart_mesh(8, 8, 4);
+    // Corner-rooted broadcast over 2x2 clusters: 1 horizontal + 1
+    // vertical level, 2 cycles each.
+    assert_eq!(zero_load_broadcast_latency(&cfg, 0, 0, 2, 2), 4);
+    // Centre-rooted on 4x4 clusters: 2 + 2 levels.
+    assert_eq!(zero_load_broadcast_latency(&cfg, 1, 2, 4, 4), 8);
 }

@@ -3,7 +3,9 @@
 //! the cycle-driven fabrics match the analytical model, routing always
 //! terminates, and multicast trees cover every member exactly once.
 
-use loco_noc::analytical::zero_load_latency;
+mod analytical;
+
+use analytical::zero_load_latency;
 use loco_noc::{
     Coord, Mesh, NetMessage, Network, NocConfig, NodeId, RouterKind, SplitMix64, VirtualMesh,
     VirtualNetwork,

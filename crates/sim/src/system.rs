@@ -22,8 +22,9 @@
 //!   cannot change state (finished, stalled on a fill, or parked at an
 //!   already-announced barrier). Any core that needs a tick forces the next
 //!   step to happen on the very next cycle.
-//! * **Pending protocol messages** — the local-delay heap is keyed by its
-//!   ready cycle; the earliest entry names the next injection cycle.
+//! * **Pending protocol messages** — a timing wheel (`loco_noc::TimingWheel`)
+//!   keyed by ready cycle holds them in `(ready, send order)` order; its
+//!   earliest entry names the next injection cycle.
 //! * **NoC retries** — messages bounced by back-pressure retry every cycle,
 //!   so a non-empty retry queue disables skipping entirely (conservative,
 //!   and rare outside saturation).
@@ -31,7 +32,7 @@
 //!   earliest pending DRAM `fire_at`.
 //! * **Network** — `Network::next_event` names the earliest cycle at which
 //!   a network tick can change state *even under partial occupancy*: it
-//!   folds the front of the queued-arrival heap (multi-flit releases,
+//!   folds the earliest queued arrival (multi-flit releases,
 //!   high-radix pipeline exits) with the fabric engine's per-head probe
 //!   (`FabricEngine::next_event`), which scans every occupied (router,
 //!   lane) head for the first cycle it is both switch-eligible
@@ -67,31 +68,14 @@ use loco_cache::{
 };
 use loco_noc::{
     Delivered, Destination, FxHashMap, FxHashSet, MulticastGroupId, NetMessage, Network, NodeId,
+    TimingWheel,
 };
 use loco_workloads::CoreTrace;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A protocol message waiting out its local processing delay before being
-/// injected into the network at `node`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Pending {
-    ready: u64,
-    seq: u64,
-    node: NodeId,
-    msg: ProtocolMsg,
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.ready, self.seq).cmp(&(other.ready, other.seq))
-    }
-}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// injected into the network at the given node.
+type Pending = (NodeId, ProtocolMsg);
 
 #[derive(Debug, Default)]
 struct BarrierTracker {
@@ -124,17 +108,20 @@ pub struct CmpSystem {
     cores: Vec<CoreModel>,
     l1s: Vec<L1Controller>,
     l2s: Vec<L2Controller>,
-    dirs: FxHashMap<NodeId, DirectoryController>,
-    mems: FxHashMap<NodeId, MemoryController>,
-    /// Memory-controller nodes in ascending order: the per-cycle DRAM tick
-    /// iterates this instead of re-collecting (and re-ordering) map keys.
-    mem_nodes: Vec<NodeId>,
-    vms_groups: FxHashMap<u64, MulticastGroupId>,
-    pending: BinaryHeap<Reverse<Pending>>,
+    /// One directory and one memory controller per memory-controller node,
+    /// in ascending node order: the DRAM tick's order, which decides the
+    /// order of same-cycle replies in `pending`.
+    dirs: Vec<DirectoryController>,
+    mems: Vec<MemoryController>,
+    /// `controller[node]`: the index into `dirs` and `mems` of the
+    /// controllers at `node`, if it has any.
+    controller: Vec<Option<u16>>,
+    /// The multicast group of each virtual mesh, indexed by HNid.
+    vms_groups: Vec<MulticastGroupId>,
+    pending: TimingWheel<Pending>,
     retry: VecDeque<NetMessage<ProtocolMsg>>,
     barriers: BarrierTracker,
     now: u64,
-    seq: u64,
     /// Number of `step()` calls executed (diagnostic: `cycle() -
     /// steps_executed()` is how many dead cycles the event-driven scheduler
     /// skipped).
@@ -146,8 +133,9 @@ pub struct CmpSystem {
     // Persistent per-step scratch buffers: the step loop is the simulator's
     // hottest path and must not allocate in steady state.
     outgoing_scratch: Vec<Outgoing>,
-    inject_scratch: Vec<NetMessage<ProtocolMsg>>,
+    due_scratch: Vec<Pending>,
     delivery_scratch: Vec<Delivered<ProtocolMsg>>,
+    barrier_scratch: Vec<(usize, u32)>,
     /// Bitset mirror of `CoreModel::needs_tick` per core, maintained at
     /// every transition (after a tick, on fill, on barrier release). The
     /// per-cycle core loop walks set bits instead of probing every core, and
@@ -199,14 +187,16 @@ impl CmpSystem {
         let mut network = Network::new(cfg.noc_config());
 
         // Pre-register one multicast group per virtual mesh (one per HNid).
-        let mut vms_groups = FxHashMap::default();
-        if org.uses_vms() {
-            for hnid in 0..org.num_vms() as u64 {
-                let members = org.vms_members(loco_cache::LineAddr(hnid));
-                let id = network.register_multicast_group(members);
-                vms_groups.insert(hnid, id);
-            }
-        }
+        let vms = if org.uses_vms() {
+            org.num_vms() as u64
+        } else {
+            0
+        };
+        let vms_groups = (0..vms)
+            .map(|hnid| {
+                network.register_multicast_group(org.vms_members(loco_cache::LineAddr(hnid)))
+            })
+            .collect();
 
         let mut barriers = BarrierTracker::default();
         for (i, g) in groups.iter().enumerate() {
@@ -226,18 +216,20 @@ impl CmpSystem {
         let l2s: Vec<L2Controller> = (0..cores_n)
             .map(|i| L2Controller::new(NodeId(i as u16), cfg.l2, org, memmap.clone()))
             .collect();
-        let dirs: FxHashMap<NodeId, DirectoryController> = memmap
-            .controllers()
+        let mut ctrl_nodes: Vec<NodeId> = memmap.controllers().to_vec();
+        ctrl_nodes.sort_unstable();
+        let mut controller = vec![None; cores_n];
+        for (i, n) in ctrl_nodes.iter().enumerate() {
+            controller[n.index()] = Some(i as u16);
+        }
+        let dirs = ctrl_nodes
             .iter()
-            .map(|&n| (n, DirectoryController::new(n, cfg.dir, org)))
+            .map(|&n| DirectoryController::new(n, cfg.dir, org))
             .collect();
-        let mems: FxHashMap<NodeId, MemoryController> = memmap
-            .controllers()
+        let mems = ctrl_nodes
             .iter()
-            .map(|&n| (n, MemoryController::new(n, cfg.mem)))
+            .map(|&n| MemoryController::new(n, cfg.mem))
             .collect();
-        let mut mem_nodes: Vec<NodeId> = memmap.controllers().to_vec();
-        mem_nodes.sort_unstable();
 
         CmpSystem {
             cfg,
@@ -249,18 +241,18 @@ impl CmpSystem {
             l2s,
             dirs,
             mems,
-            mem_nodes,
+            controller,
             vms_groups,
-            pending: BinaryHeap::new(),
+            pending: TimingWheel::new(),
             retry: VecDeque::new(),
             barriers,
             now: 0,
-            seq: 0,
             steps_executed: 0,
             skipped_while_busy: 0,
             outgoing_scratch: Vec::new(),
-            inject_scratch: Vec::new(),
+            due_scratch: Vec::new(),
             delivery_scratch: Vec::new(),
+            barrier_scratch: Vec::new(),
             // Every core starts runnable (even an empty trace needs one tick
             // to record its finish, exactly as in naive stepping).
             runnable: {
@@ -313,26 +305,24 @@ impl CmpSystem {
         self.finished_count == self.cores.len()
     }
 
-    /// Drains `outgoing` into the pending-injection heap (the buffer is a
+    /// Drains `outgoing` into the pending-injection wheel (the buffer is a
     /// reusable scratch; its capacity survives for the next caller).
     fn schedule(&mut self, node: NodeId, outgoing: &mut Vec<Outgoing>) {
         for o in outgoing.drain(..) {
-            self.seq += 1;
-            self.pending.push(Reverse(Pending {
-                ready: self.now + o.delay,
-                seq: self.seq,
-                node,
-                msg: o.msg,
-            }));
+            self.pending.push(self.now + o.delay, (node, o.msg));
         }
+    }
+
+    /// Index into `dirs` and `mems` of the controllers at `node`.
+    fn controller_at(&self, node: NodeId) -> usize {
+        usize::from(self.controller[node.index()].expect("memory-controller node"))
     }
 
     fn to_net(&self, node: NodeId, msg: ProtocolMsg) -> NetMessage<ProtocolMsg> {
         let dest = match msg.kind {
             MsgKind::BcastGetS | MsgKind::BcastGetM => {
                 let hnid = self.org.vms_id(msg.addr);
-                let group = self.vms_groups[&hnid];
-                Destination::Multicast(group)
+                Destination::Multicast(self.vms_groups[hnid as usize])
             }
             _ => Destination::Unicast(msg.dst.node),
         };
@@ -366,16 +356,12 @@ impl CmpSystem {
             }
             Unit::L2 => self.l2s[idx].handle(msg, self.now, out),
             Unit::Dir => {
-                self.dirs
-                    .get_mut(&node)
-                    .expect("directory at memory-controller node")
-                    .handle(msg, self.now, out);
+                let c = self.controller_at(node);
+                self.dirs[c].handle(msg, self.now, out);
             }
             Unit::Mem => {
-                self.mems
-                    .get_mut(&node)
-                    .expect("memory controller node")
-                    .handle(msg, self.now, out);
+                let c = self.controller_at(node);
+                self.mems[c].handle(msg, self.now, out);
             }
         }
         self.schedule(node, out);
@@ -393,7 +379,8 @@ impl CmpSystem {
         // is exact in both execution modes. The runnable bitset mirrors
         // `needs_tick` and is walked in ascending core order, matching the
         // naive full scan.
-        let mut completed_barriers: Vec<(usize, u32)> = Vec::new();
+        let mut completed_barriers = std::mem::take(&mut self.barrier_scratch);
+        debug_assert!(completed_barriers.is_empty());
         let mut out = std::mem::take(&mut self.outgoing_scratch);
         debug_assert!(out.is_empty());
         for w in 0..self.runnable.len() {
@@ -421,7 +408,7 @@ impl CmpSystem {
                 }
             }
         }
-        for (group, id) in completed_barriers {
+        for (group, id) in completed_barriers.drain(..) {
             for core_idx in self.barriers.release(group, id) {
                 self.cores[core_idx].on_barrier_release();
                 self.runnable[core_idx / 64] |= 1 << (core_idx % 64);
@@ -430,42 +417,35 @@ impl CmpSystem {
             // (handled next cycle through the tracker being empty is fine:
             // they re-register and form the next barrier instance).
         }
+        self.barrier_scratch = completed_barriers;
 
-        // 2. Messages whose local processing delay elapsed are injected.
-        let mut to_inject = std::mem::take(&mut self.inject_scratch);
-        debug_assert!(to_inject.is_empty());
-        while let Some(Reverse(p)) = self.pending.peek() {
-            if p.ready > now {
-                break;
-            }
-            let Reverse(p) = self.pending.pop().expect("peeked element");
-            to_inject.push(self.to_net(p.node, p.msg));
-        }
-        // Retries first (older messages), then the newly ready ones. A
-        // rejected message travels back out through the error, so nothing is
-        // cloned speculatively on this path.
-        let mut still_waiting = VecDeque::new();
-        while let Some(m) = self.retry.pop_front() {
+        // 2. Messages whose local processing delay elapsed are injected:
+        // retries first (older messages), then the newly ready ones. Each
+        // retry is popped from the front once; a rejected message travels
+        // back out through the error (nothing is cloned speculatively on
+        // this path) and rejoins the queue at the back, behind the retries
+        // still to be tried.
+        let mut due = std::mem::take(&mut self.due_scratch);
+        debug_assert!(due.is_empty());
+        self.pending.drain_due(now, &mut due);
+        for _ in 0..self.retry.len() {
+            let m = self.retry.pop_front().expect("counted retry");
             if let Err(rejected) = self.network.inject(m) {
-                still_waiting.push_back(rejected.into_message());
+                self.retry.push_back(rejected.into_message());
             }
         }
-        for m in to_inject.drain(..) {
-            if let Err(rejected) = self.network.inject(m) {
-                still_waiting.push_back(rejected.into_message());
+        for (node, msg) in due.drain(..) {
+            if let Err(rejected) = self.network.inject(self.to_net(node, msg)) {
+                self.retry.push_back(rejected.into_message());
             }
         }
-        self.inject_scratch = to_inject;
-        self.retry = still_waiting;
+        self.due_scratch = due;
 
         // 3. Memory controllers release DRAM responses whose latency elapsed.
-        for i in 0..self.mem_nodes.len() {
-            let node = self.mem_nodes[i];
-            self.mems
-                .get_mut(&node)
-                .expect("memory controller")
-                .tick(now, &mut out);
+        for i in 0..self.mems.len() {
+            self.mems[i].tick(now, &mut out);
             if !out.is_empty() {
+                let node = self.mems[i].node();
                 self.schedule(node, &mut out);
             }
         }
@@ -523,14 +503,13 @@ impl CmpSystem {
         // the most expensive one and runs last).
         let now = self.now;
         let mut next = u64::MAX;
-        if let Some(Reverse(p)) = self.pending.peek() {
-            if p.ready <= now {
+        if let Some(ready) = self.pending.next_ready() {
+            if ready <= now {
                 return Some(now);
             }
-            next = next.min(p.ready);
+            next = next.min(ready);
         }
-        // Map iteration order is irrelevant here: the fold is a pure min.
-        for mem in self.mems.values() {
+        for mem in &self.mems {
             if let Some(t) = mem.next_event() {
                 if t <= now {
                     return Some(now);
@@ -538,8 +517,8 @@ impl CmpSystem {
                 next = next.min(t);
             }
         }
-        // The network probe covers partial occupancy: the queued-arrival
-        // heap front and every buffered head's (ready, link-free) cycle.
+        // The network probe covers partial occupancy: the earliest queued
+        // arrival and every buffered head's (ready, link-free) cycle.
         // Before PR 5 this was pinned to `now` whenever any packet was in
         // flight; the per-component horizon lets barrier and DRAM stalls
         // with stragglers in the fabric skip too. The probe costs one scan
@@ -614,10 +593,10 @@ impl CmpSystem {
         for l2 in &self.l2s {
             cache.merge(l2.stats());
         }
-        for dir in self.dirs.values() {
+        for dir in &self.dirs {
             cache.merge(dir.stats());
         }
-        for mem in self.mems.values() {
+        for mem in &self.mems {
             cache.merge(mem.stats());
         }
         cache.instructions = self.cores.iter().map(CoreModel::instructions).sum();

@@ -75,4 +75,11 @@ if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml 
     echo "stall16 did not reproduce its recorded fingerprints"; cat target/stall16_err.txt; exit 1
 fi
 
+echo "==> paper64 campaign benchmark (152 scenarios on 2 workers; recorded per-scenario fingerprints must match)"
+if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload campaign_paper64 --seed 42 --seconds 1 --trace 0 > target/campaign_paper64.txt 2>target/campaign_paper64_err.txt \
+    || ! tail -n 1 target/campaign_paper64.txt | grep -q '"correct": true'; then
+    echo "campaign_paper64 did not reproduce its recorded fingerprints"; cat target/campaign_paper64_err.txt; exit 1
+fi
+
 echo "==> verify OK"
