@@ -86,7 +86,7 @@ fn parse_figure(token: &str) -> u32 {
 fn list_figures(scale: Scale) -> ! {
     for n in FIGURE_NUMBERS {
         let spec = figure_spec(scale, n, None).expect("range is exhaustive");
-        println!("{}  {}", spec.id(), spec.title());
+        println!("fig{:02}  {}", spec.number(), spec.title());
     }
     std::process::exit(0);
 }

@@ -8,14 +8,13 @@
 //!   repository benchmark (`perfbench/`): which benchmarks, cluster shapes
 //!   and Table-2 workloads each scale sweeps, and the [`figure_specs`]
 //!   builder that turns figure numbers into `loco::campaign::FigureSpec`s.
-//! * The two micro-benches under `benches/` (`noc_microbench`,
-//!   `ablations`) run on the in-tree [`timing`] harness. Timing a whole
-//!   figure campaign is `perfbench`'s job.
+//!
+//! Timing is `perfbench`'s job. The design-knob ablations are a test of
+//! simulated cycles (`tests/integration_system.rs`), and Section 2's
+//! corner-to-corner NoC latency check is a NoC property test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod timing;
 
 use loco::{Benchmark, ClusterShape, ExperimentParams, FigureSpec};
 
@@ -150,6 +149,7 @@ pub fn figure_specs(scale: Scale, numbers: &[u32], benchmarks: Option<&[Benchmar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loco::CampaignPlan;
 
     #[test]
     fn scale_parsing() {
@@ -172,6 +172,29 @@ mod tests {
         }
         assert!(figure_spec(Scale::Quick, 5, None).is_none());
         assert!(figure_spec(Scale::Quick, 20, None).is_none());
+    }
+
+    /// The size of every figure's plan (distinct scenarios), and of the
+    /// whole campaign, as `reproduce` runs it at the quick and paper64
+    /// scales. Planning runs no simulation, so this pins all 152 paper64
+    /// scenarios for free.
+    #[test]
+    fn plan_sizes_per_figure_are_pinned() {
+        for (scale, sizes, total) in [
+            (Scale::Quick, [6, 9, 6, 6, 9, 12, 12, 12, 15, 6, 8, 15, 12, 6], 47),
+            (Scale::Cores64, [16, 24, 16, 16, 24, 32, 32, 32, 40, 30, 44, 40, 32, 6], 152),
+        ] {
+            let params = scale.params();
+            let specs = figure_specs(scale, &FIGURE_NUMBERS.collect::<Vec<_>>(), None);
+            let mut campaign = CampaignPlan::new();
+            for (spec, size) in specs.iter().zip(sizes) {
+                let mut plan = CampaignPlan::new();
+                plan.add_figure(spec, &params);
+                assert_eq!(plan.len(), size, "fig{:02} at {scale:?}", spec.number());
+                campaign.add_figure(spec, &params);
+            }
+            assert_eq!(campaign.len(), total, "campaign at {scale:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! 1. **Plan** — every figure is described by a [`FigureSpec`] whose
 //!    [`FigureSpec::enumerate`] pass is *pure*: it returns the [`Scenario`]s
-//!    the figure needs, without running anything. Scenarios from several
+//!    the figure needs, without running anything. The plan is not written
+//!    down separately: `enumerate` runs the assembly code against blank
+//!    results and records every scenario it reads. Scenarios from several
 //!    figures are deduplicated into one [`CampaignPlan`] (composing fig06
 //!    and fig11 over the same matrix enumerates each shared scenario once).
 //! 2. **Execute** — an [`Executor`] shards the plan across
@@ -510,9 +512,10 @@ fn run_named(params: &ExperimentParams, scenario: Scenario) -> Outcome {
         })
 }
 
-/// A declarative description of one figure of the paper: which scenarios it
-/// needs ([`FigureSpec::enumerate`]) and how the figure is built from their
-/// results ([`FigureSpec::assemble`]). Both passes are pure.
+/// A declarative description of one figure of the paper: how the figure is
+/// built from its scenarios' results ([`FigureSpec::assemble`]), and so
+/// which scenarios it needs ([`FigureSpec::enumerate`]). Both passes are
+/// pure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FigureSpec {
     /// Figure 6: private-cache runtime normalized to the shared cache.
@@ -615,26 +618,6 @@ const ENERGY_ORGS: [OrganizationKind; 5] = [
 ];
 
 impl FigureSpec {
-    /// The figure's identifier ("fig06" … "fig18").
-    pub fn id(&self) -> &'static str {
-        match self {
-            FigureSpec::Fig06 { .. } => "fig06",
-            FigureSpec::Fig07 { .. } => "fig07",
-            FigureSpec::Fig08 { .. } => "fig08",
-            FigureSpec::Fig09 { .. } => "fig09",
-            FigureSpec::Fig10 { .. } => "fig10",
-            FigureSpec::Fig11 { .. } => "fig11",
-            FigureSpec::Fig12 { .. } => "fig12",
-            FigureSpec::Fig13 { .. } => "fig13",
-            FigureSpec::Fig14 { .. } => "fig14",
-            FigureSpec::Fig15 { .. } => "fig15",
-            FigureSpec::Fig16 { .. } => "fig16",
-            FigureSpec::Fig17Energy { .. } => "fig17",
-            FigureSpec::Fig18Edp { .. } => "fig18",
-            FigureSpec::Fig19Stall => "fig19",
-        }
-    }
-
     /// The figure number (6–16 mirror the paper; 17–18 are the energy
     /// figures this reproduction adds on top of the evaluation).
     pub fn number(&self) -> u32 {
@@ -679,172 +662,48 @@ impl FigureSpec {
         }
     }
 
-    /// Every scenario this figure reads — the pure *plan* pass. The order
-    /// is deterministic (it mirrors the assembly loops), and duplicates
-    /// within one figure are fine: [`CampaignPlan::extend`] deduplicates.
+    /// Every scenario this figure reads — the pure *plan* pass. It is not a
+    /// second list: it runs [`FigureSpec::assemble`]'s own code against
+    /// blank results and records what that code asks for, in the order it
+    /// asks. Duplicates within one figure are fine: [`CampaignPlan::extend`]
+    /// deduplicates.
     pub fn enumerate(&self, params: &ExperimentParams) -> Vec<Scenario> {
-        let mut out = Vec::new();
-        match self {
-            FigureSpec::Fig06 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Private));
-                }
-            }
-            FigureSpec::Fig07 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Private));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVmsIvr));
-                }
-            }
-            FigureSpec::Fig08 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVmsIvr));
-                }
-            }
-            FigureSpec::Fig09 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCc));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVms));
-                }
-            }
-            FigureSpec::Fig10 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVms));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::LocoCcVmsIvr));
-                }
-            }
-            FigureSpec::Fig11 { benchmarks } => {
-                for &b in benchmarks {
-                    for org in [
-                        OrganizationKind::Shared,
-                        OrganizationKind::LocoCc,
-                        OrganizationKind::LocoCcVms,
-                        OrganizationKind::LocoCcVmsIvr,
-                    ] {
-                        out.push(Scenario::default_trace(params, b, org));
-                    }
-                }
-            }
-            FigureSpec::Fig12 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Private));
-                    for router in NOC_SWEEP {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router,
-                            cluster: params.cluster,
-                            full_system: false,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig13 { benchmarks } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    for router in NOC_SWEEP {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router,
-                            cluster: params.cluster,
-                            full_system: false,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig14 { benchmarks, shapes } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Private));
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    for &shape in shapes {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router: RouterKind::Smart,
-                            cluster: shape,
-                            full_system: false,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig15 { workloads } => {
-                for &w in workloads {
-                    for org in [
-                        OrganizationKind::Shared,
-                        OrganizationKind::LocoCc,
-                        OrganizationKind::LocoCcVmsIvr,
-                    ] {
-                        out.push(Scenario::MultiProgram { workload: w, org });
-                    }
-                }
-            }
-            FigureSpec::Fig16 { benchmarks } => {
-                for &b in benchmarks {
-                    for org in [
-                        OrganizationKind::Shared,
-                        OrganizationKind::LocoCc,
-                        OrganizationKind::LocoCcVms,
-                        OrganizationKind::LocoCcVmsIvr,
-                    ] {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org,
-                            router: RouterKind::Smart,
-                            cluster: params.cluster,
-                            full_system: true,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig17Energy { benchmarks } => {
-                for &b in benchmarks {
-                    for org in ENERGY_ORGS {
-                        out.push(Scenario::default_trace(params, b, org));
-                    }
-                }
-            }
-            FigureSpec::Fig18Edp { benchmarks, shapes } => {
-                for &b in benchmarks {
-                    out.push(Scenario::default_trace(params, b, OrganizationKind::Shared));
-                    for &shape in shapes {
-                        out.push(Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router: RouterKind::Smart,
-                            cluster: shape,
-                            full_system: false,
-                        });
-                    }
-                }
-            }
-            FigureSpec::Fig19Stall => {
-                for kind in StressKind::ALL {
-                    for router in NOC_SWEEP {
-                        out.push(Scenario::StallStress { kind, router });
-                    }
-                }
-            }
-        }
-        out
+        let blank = SimResults::default();
+        let read = Mutex::new(Vec::new());
+        self.build(params, &|s| {
+            read.lock().expect("plan lock").push(*s);
+            &blank
+        });
+        read.into_inner().expect("plan lock")
     }
 
     /// Builds the figure(s) from a completed result set — the pure
-    /// *assemble* pass. Figures with sub-parts (12, 14, 15, 16) return more
-    /// than one [`Figure`]; the rest return exactly one.
+    /// *assemble* pass. Figures with sub-parts (12, 14, 15, 16, 17) return
+    /// more than one [`Figure`]; the rest return exactly one.
     ///
     /// # Panics
     ///
     /// Panics if a scenario from [`FigureSpec::enumerate`] is missing from
     /// `results`.
     pub fn assemble(&self, params: &ExperimentParams, results: &ResultSet) -> Vec<Figure> {
-        let get_default = |b: Benchmark, org: OrganizationKind| -> &SimResults {
-            results.expect(&Scenario::default_trace(params, b, org))
-        };
+        self.build(params, &|s| results.expect(s))
+    }
+
+    /// The one body behind both passes: builds the figure(s), reading every
+    /// scenario through `get`.
+    ///
+    /// The plan is whatever this code reads, so it must read the same
+    /// scenarios whatever the values are: no read may depend on the value
+    /// of an earlier one. Blank results are safe to read: every ratio
+    /// helper of [`SimResults`] and [`EnergyBreakdown`] returns 0 for a 0
+    /// denominator.
+    fn build<'r>(
+        &self,
+        params: &ExperimentParams,
+        get: &dyn Fn(&Scenario) -> &'r SimResults,
+    ) -> Vec<Figure> {
+        let get_default =
+            |b: Benchmark, org: OrganizationKind| get(&Scenario::default_trace(params, b, org));
         let bench_labels =
             |benchmarks: &[Benchmark]| benchmarks.iter().map(|b| b.name().to_string()).collect();
         match self {
@@ -982,7 +841,7 @@ impl FigureSpec {
                     let (mut lat_v, mut sea_v) = (Vec::new(), Vec::new());
                     for &b in benchmarks {
                         let private = get_default(b, OrganizationKind::Private);
-                        let r = results.expect(&Scenario::Trace {
+                        let r = get(&Scenario::Trace {
                             benchmark: b,
                             org: OrganizationKind::LocoCcVmsIvr,
                             router,
@@ -1010,7 +869,7 @@ impl FigureSpec {
                     let mut v = Vec::new();
                     for &b in benchmarks {
                         let shared = get_default(b, OrganizationKind::Shared);
-                        let r = results.expect(&Scenario::Trace {
+                        let r = get(&Scenario::Trace {
                             benchmark: b,
                             org: OrganizationKind::LocoCcVmsIvr,
                             router,
@@ -1049,7 +908,7 @@ impl FigureSpec {
                     for &b in benchmarks {
                         let private = get_default(b, OrganizationKind::Private);
                         let shared = get_default(b, OrganizationKind::Shared);
-                        let r = results.expect(&Scenario::Trace {
+                        let r = get(&Scenario::Trace {
                             benchmark: b,
                             org: OrganizationKind::LocoCcVmsIvr,
                             router: RouterKind::Smart,
@@ -1093,12 +952,12 @@ impl FigureSpec {
                 let mut off_series: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
                 let mut run_series: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
                 for &w in workloads {
-                    let shared = results.expect(&Scenario::MultiProgram {
+                    let shared = get(&Scenario::MultiProgram {
                         workload: w,
                         org: OrganizationKind::Shared,
                     });
                     for (i, &org) in orgs.iter().enumerate() {
-                        let r = results.expect(&Scenario::MultiProgram { workload: w, org });
+                        let r = get(&Scenario::MultiProgram { workload: w, org });
                         off_series[i].push(r.offchip_normalized_to(shared));
                         run_series[i].push(r.runtime_normalized_to(shared));
                     }
@@ -1117,8 +976,8 @@ impl FigureSpec {
                 vec![offchip, runtime]
             }
             FigureSpec::Fig16 { benchmarks } => {
-                let get_fs = |b: Benchmark, org: OrganizationKind| -> &SimResults {
-                    results.expect(&Scenario::Trace {
+                let get_fs = |b: Benchmark, org: OrganizationKind| {
+                    get(&Scenario::Trace {
                         benchmark: b,
                         org,
                         router: RouterKind::Smart,
@@ -1241,7 +1100,7 @@ impl FigureSpec {
                     for &b in benchmarks {
                         let shared =
                             energy.breakdown(get_default(b, OrganizationKind::Shared));
-                        let r = results.expect(&Scenario::Trace {
+                        let r = get(&Scenario::Trace {
                             benchmark: b,
                             org: OrganizationKind::LocoCcVmsIvr,
                             router: RouterKind::Smart,
@@ -1268,11 +1127,11 @@ impl FigureSpec {
                 for router in NOC_SWEEP {
                     let mut v = Vec::new();
                     for kind in StressKind::ALL {
-                        let smart = results.expect(&Scenario::StallStress {
+                        let smart = get(&Scenario::StallStress {
                             kind,
                             router: RouterKind::Smart,
                         });
-                        let r = results.expect(&Scenario::StallStress { kind, router });
+                        let r = get(&Scenario::StallStress { kind, router });
                         v.push(r.runtime_normalized_to(smart));
                     }
                     fig.push_series(Series::new(format!("LOCO + {}", router.label()), v));
@@ -1521,13 +1380,64 @@ mod tests {
                 shapes: vec![],
             },
         ];
-        assert_eq!(specs[0].id(), "fig06");
-        assert_eq!(specs[1].id(), "fig17");
-        assert_eq!(specs[1].number(), 17);
-        assert_eq!(specs[2].id(), "fig18");
-        assert_eq!(specs[2].number(), 18);
+        // The id `reproduce --list-figures` prints is the number, zero-padded.
+        let ids: Vec<String> = specs.iter().map(|s| format!("fig{:02}", s.number())).collect();
+        assert_eq!(ids, ["fig06", "fig17", "fig18"]);
         for s in &specs {
             assert!(!s.title().is_empty());
+        }
+    }
+
+    /// One spec of every figure, over small axes.
+    fn every_figure() -> Vec<FigureSpec> {
+        let b = || vec![Benchmark::Lu, Benchmark::Barnes];
+        let shapes = || vec![ClusterShape::new(2, 1), ClusterShape::new(2, 2)];
+        vec![
+            FigureSpec::Fig06 { benchmarks: b() },
+            FigureSpec::Fig07 { benchmarks: b() },
+            FigureSpec::Fig08 { benchmarks: b() },
+            FigureSpec::Fig09 { benchmarks: b() },
+            FigureSpec::Fig10 { benchmarks: b() },
+            FigureSpec::Fig11 { benchmarks: b() },
+            FigureSpec::Fig12 { benchmarks: b() },
+            FigureSpec::Fig13 { benchmarks: b() },
+            FigureSpec::Fig14 {
+                benchmarks: b(),
+                shapes: shapes(),
+            },
+            FigureSpec::Fig15 { workloads: vec![0, 5] },
+            FigureSpec::Fig16 {
+                benchmarks: vec![Benchmark::Lu, Benchmark::Fft],
+            },
+            FigureSpec::Fig17Energy { benchmarks: b() },
+            FigureSpec::Fig18Edp {
+                benchmarks: b(),
+                shapes: shapes(),
+            },
+            FigureSpec::Fig19Stall,
+        ]
+    }
+
+    /// The plan is read off blank results; assembling real results must
+    /// read exactly the same scenarios, or a figure's reads depend on its
+    /// values and the plan could miss one.
+    #[test]
+    fn the_blank_results_plan_is_the_real_plan() {
+        let params = ExperimentParams::quick().with_mem_ops(120);
+        let mut campaign = CampaignPlan::new();
+        let specs = every_figure();
+        for spec in &specs {
+            campaign.add_figure(spec, &params);
+        }
+        let results = Executor::new(2).execute(&params, &campaign);
+        for spec in &specs {
+            let read = Mutex::new(FxHashSet::default());
+            spec.build(&params, &|s| {
+                read.lock().expect("read lock").insert(*s);
+                results.expect(s)
+            });
+            let planned: FxHashSet<Scenario> = spec.enumerate(&params).into_iter().collect();
+            assert_eq!(read.into_inner().expect("read lock"), planned, "fig{:02}", spec.number());
         }
     }
 }

@@ -2,10 +2,11 @@
 //! (Section 4).
 //!
 //! The experiments themselves live in [`crate::campaign`]: every figure is a
-//! [`crate::campaign::FigureSpec`] with a pure *enumerate* pass (which
-//! [`crate::campaign::Scenario`]s it needs) and a pure *assemble* pass (how
-//! its figures are built from a completed [`crate::campaign::ResultSet`]),
-//! and [`crate::campaign::Executor`] runs the scenarios in parallel. The
+//! [`crate::campaign::FigureSpec`] with a pure *assemble* pass (how its
+//! figures are built from a completed [`crate::campaign::ResultSet`]) and a
+//! pure *enumerate* pass derived from it (which
+//! [`crate::campaign::Scenario`]s assembly reads), and
+//! [`crate::campaign::Executor`] runs the scenarios in parallel. The
 //! `reproduce` CLI drives all three and emits `EXPERIMENTS.md`.
 
 use loco_cache::{ClusterShape, OrganizationKind};

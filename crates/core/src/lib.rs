@@ -15,10 +15,11 @@
 //!
 //! * [`SimulationBuilder`] — run one workload on one configuration,
 //! * [`campaign`] — the plan/execute/assemble campaign engine: enumerate
-//!   the [`campaign::Scenario`]s a set of figures needs, execute them on
-//!   all cores with [`campaign::Executor`], and assemble the figures from
-//!   the [`campaign::ResultSet`] (the `reproduce` CLI of `loco-bench` is
-//!   its command-line front end),
+//!   the [`campaign::Scenario`]s a set of figures needs (read off the
+//!   assembly code itself), execute them on all cores with
+//!   [`campaign::Executor`], and assemble the figures from the
+//!   [`campaign::ResultSet`] (the `reproduce` CLI of `loco-bench` is its
+//!   command-line front end),
 //! * [`ExperimentParams`] — the scale of a campaign (mesh, trace length,
 //!   seed, cycle budget, working-set scaling),
 //! * re-exports of the substrate crates (`loco-noc`, `loco-cache`,

@@ -15,7 +15,7 @@ cargo test -q --offline
 echo "==> cargo test --doc"
 cargo test --doc -q --offline
 
-echo "==> cargo build --workspace --all-targets (benches, examples, reproduce)"
+echo "==> cargo build --workspace --all-targets (tests, examples, reproduce)"
 cargo build --workspace --all-targets --offline
 
 echo "==> equivalence suite (event-driven == naive stepping, bit for bit)"

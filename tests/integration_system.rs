@@ -1,8 +1,12 @@
 //! End-to-end integration tests on the paper's 64-core configuration
 //! (shortened traces): the qualitative relationships between the cache
-//! organizations that every figure of the paper relies on.
+//! organizations that every figure of the paper relies on, and the
+//! design-knob ablations of DESIGN §7.
 
-use loco::{Benchmark, OrganizationKind, RouterKind, SimulationBuilder};
+use loco::{
+    Benchmark, CmpSystem, OrganizationKind, RouterKind, SimResults, SimulationBuilder,
+    SystemConfig, TraceGenerator,
+};
 
 fn run_64(benchmark: Benchmark, org: OrganizationKind, mem_ops: u64) -> loco::SimResults {
     let r = SimulationBuilder::new()
@@ -117,4 +121,74 @@ fn the_256_core_configuration_runs() {
         .run();
     assert!(r.completed);
     assert!(r.instructions >= 256 * 60);
+}
+
+/// One ablation run: 150 Radix mem-ops per core at seed 42 under full LOCO
+/// (CC+VMS+IVR), on a configuration the caller has already adjusted.
+fn ablation_run(cfg: SystemConfig) -> SimResults {
+    let traces = TraceGenerator::new(42).generate(&Benchmark::Radix.spec(), cfg.num_cores(), 150);
+    let r = CmpSystem::new(cfg, traces).run(10_000_000);
+    assert!(r.completed);
+    r
+}
+
+fn loco_config(mesh: u16, cluster: u16) -> SimulationBuilder {
+    SimulationBuilder::new()
+        .mesh(mesh, mesh)
+        .cluster(cluster, cluster)
+        .organization(OrganizationKind::LocoCcVmsIvr)
+}
+
+/// The design knobs the paper fixes (DESIGN §7), swept below the campaign's
+/// `Scenario` axes on simulated cycles. Only what holds at this scale is
+/// asserted: runtime is not monotone in HPCmax (2 beats 4 by 9 cycles
+/// here), and the IVR threshold never binds.
+#[test]
+fn design_knob_ablations_on_simulated_cycles() {
+    // HPCmax on a 4x4 mesh with 2x2 clusters: one hop per cycle is the
+    // slowest, and no XY path has more than 3 hops per dimension, so 4 and
+    // 8 cover every path alike and are bit-identical.
+    let hpc = |hpc_max: u16| {
+        let mut cfg = loco_config(4, 2).system_config();
+        cfg.hpc_max = hpc_max;
+        ablation_run(cfg)
+    };
+    let by_hpc: Vec<SimResults> = [1, 2, 4, 8].into_iter().map(hpc).collect();
+    for r in &by_hpc[1..] {
+        assert!(
+            by_hpc[0].runtime_cycles > r.runtime_cycles,
+            "HPCmax 1 ({}) must be the slowest ({})",
+            by_hpc[0].runtime_cycles,
+            r.runtime_cycles
+        );
+    }
+    assert_eq!(format!("{:?}", by_hpc[2]), format!("{:?}", by_hpc[3]));
+
+    // IVR threshold on the same system. A first eviction migrates under
+    // any threshold >= 1; the threshold only cuts chains that go on past
+    // their first hop (a denied, re-steered migrant or an older victim it
+    // displaced). This run migrates no line at all (`ivr_migrations` is 0)
+    // and denies none, so every threshold gives the same run: the knob's
+    // sensitivity cannot be seen at this scale.
+    let ivr = |threshold: u8| {
+        let mut cfg = loco_config(4, 2).system_config();
+        cfg.l2.ivr_threshold = threshold;
+        ablation_run(cfg)
+    };
+    let baseline = &by_hpc[2];
+    assert_eq!(baseline.cache.ivr_denied, 0);
+    for threshold in [1, 2, 8] {
+        assert_eq!(format!("{:?}", ivr(threshold)), format!("{baseline:?}"), "threshold {threshold}");
+    }
+
+    // SMART vs conventional on the 8x8 mesh: SMART's advantage never
+    // shrinks as clusters grow from 2x2 to 4x4 to 8x8.
+    let gap = |cluster: u16| {
+        let run = |router| ablation_run(loco_config(8, cluster).router(router).system_config());
+        let conv = run(RouterKind::Conventional);
+        conv.runtime_normalized_to(&run(RouterKind::Smart))
+    };
+    let gaps: Vec<f64> = [2, 4, 8].into_iter().map(gap).collect();
+    assert!(gaps[0] > 1.0, "SMART must beat conventional: {gaps:?}");
+    assert!(gaps.windows(2).all(|w| w[0] <= w[1]), "conv/SMART by cluster: {gaps:?}");
 }
