@@ -16,7 +16,6 @@
 use crate::address::LineAddr;
 use crate::line::SharerSet;
 use crate::msg::{Agent, MsgKind, Outgoing, ProtocolMsg};
-use crate::organization::Organization;
 use crate::stats::CacheStats;
 use loco_noc::NodeId;
 use loco_noc::FxHashMap;
@@ -53,7 +52,6 @@ struct DirEntry {
 #[derive(Debug)]
 pub struct DirectoryController {
     node: NodeId,
-    org: Organization,
     cfg: DirectoryConfig,
     entries: FxHashMap<LineAddr, DirEntry>,
     stats: CacheStats,
@@ -61,10 +59,9 @@ pub struct DirectoryController {
 
 impl DirectoryController {
     /// Creates the directory slice at `node`.
-    pub fn new(node: NodeId, cfg: DirectoryConfig, org: Organization) -> Self {
+    pub fn new(node: NodeId, cfg: DirectoryConfig) -> Self {
         DirectoryController {
             node,
-            org,
             cfg,
             entries: FxHashMap::default(),
             stats: CacheStats::default(),
@@ -81,16 +78,11 @@ impl DirectoryController {
         &self.stats
     }
 
-    /// Number of lines currently tracked.
-    pub fn tracked_lines(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Handles a protocol message addressed to this directory.
-    pub fn handle(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
+    pub fn handle(&mut self, msg: ProtocolMsg, out: &mut Vec<Outgoing>) {
         match msg.kind {
-            MsgKind::GblGetS => self.handle_get(msg, false, now, out),
-            MsgKind::GblGetM => self.handle_get(msg, true, now, out),
+            MsgKind::GblGetS => self.handle_get(msg, false, out),
+            MsgKind::GblGetM => self.handle_get(msg, true, out),
             MsgKind::PutL2 => {
                 self.stats.dir_lookups += 1;
                 let e = self.entries.entry(msg.addr).or_default();
@@ -114,7 +106,7 @@ impl DirectoryController {
         }
     }
 
-    fn handle_get(&mut self, msg: ProtocolMsg, is_write: bool, now: u64, out: &mut Vec<Outgoing>) {
+    fn handle_get(&mut self, msg: ProtocolMsg, is_write: bool, out: &mut Vec<Outgoing>) {
         let requester_l2 = msg.src.node;
         let lat = self.cfg.latency;
         let mem_lat = self.cfg.memory_latency;
@@ -125,7 +117,6 @@ impl DirectoryController {
             return;
         }
         entry.busy = true;
-        let _ = now;
         if !is_write {
             match entry.owner.filter(|&o| o != requester_l2) {
                 Some(owner) => {
@@ -208,18 +199,15 @@ impl DirectoryController {
             entry.sharers.insert(requester_l2);
             entry.owner = Some(requester_l2);
         }
-        let _ = &self.org;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loco_noc::Mesh;
 
     fn dir() -> DirectoryController {
-        let org = Organization::private(Mesh::new(8, 8));
-        DirectoryController::new(NodeId(4), DirectoryConfig::default(), org)
+        DirectoryController::new(NodeId(4), DirectoryConfig::default())
     }
 
     fn get(addr: u64, from_l2: u16, write: bool) -> ProtocolMsg {
@@ -244,7 +232,7 @@ mod tests {
     fn first_read_fetches_from_memory_and_grants_ownership() {
         let mut d = dir();
         let mut out = Vec::new();
-        d.handle(get(7, 10, false), 0, &mut out);
+        d.handle(get(7, 10, false), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].msg.kind, MsgKind::MemData);
         assert_eq!(out[0].delay, 210);
@@ -255,10 +243,10 @@ mod tests {
     fn second_read_is_forwarded_to_the_owner() {
         let mut d = dir();
         let mut out = Vec::new();
-        d.handle(get(7, 10, false), 0, &mut out);
-        d.handle(unblock(7, 10), 5, &mut out);
+        d.handle(get(7, 10, false), &mut out);
+        d.handle(unblock(7, 10), &mut out);
         let mut out = Vec::new();
-        d.handle(get(7, 20, false), 10, &mut out);
+        d.handle(get(7, 20, false), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].msg.kind, MsgKind::FwdGetS);
         assert_eq!(out[0].msg.dst, Agent::l2(NodeId(10)));
@@ -270,14 +258,14 @@ mod tests {
         let mut d = dir();
         let mut out = Vec::new();
         // Owner 10, sharers 20 and 30.
-        d.handle(get(7, 10, false), 0, &mut out);
-        d.handle(unblock(7, 10), 1, &mut out);
-        d.handle(get(7, 20, false), 2, &mut out);
-        d.handle(unblock(7, 20), 3, &mut out);
-        d.handle(get(7, 30, false), 4, &mut out);
-        d.handle(unblock(7, 30), 5, &mut out);
+        d.handle(get(7, 10, false), &mut out);
+        d.handle(unblock(7, 10), &mut out);
+        d.handle(get(7, 20, false), &mut out);
+        d.handle(unblock(7, 20), &mut out);
+        d.handle(get(7, 30, false), &mut out);
+        d.handle(unblock(7, 30), &mut out);
         let mut out = Vec::new();
-        d.handle(get(7, 40, true), 10, &mut out);
+        d.handle(get(7, 40, true), &mut out);
         let invs: Vec<_> = out.iter().filter(|o| o.msg.kind == MsgKind::InvL2).collect();
         assert_eq!(invs.len(), 2, "sharers 20 and 30 are invalidated");
         assert!(out.iter().any(|o| o.msg.kind == MsgKind::FwdGetM
@@ -293,13 +281,13 @@ mod tests {
     fn upgrade_write_by_a_sharer_needs_no_data() {
         let mut d = dir();
         let mut out = Vec::new();
-        d.handle(get(9, 10, false), 0, &mut out);
-        d.handle(unblock(9, 10), 1, &mut out);
-        d.handle(get(9, 20, false), 2, &mut out);
-        d.handle(unblock(9, 20), 3, &mut out);
+        d.handle(get(9, 10, false), &mut out);
+        d.handle(unblock(9, 10), &mut out);
+        d.handle(get(9, 20, false), &mut out);
+        d.handle(unblock(9, 20), &mut out);
         let mut out = Vec::new();
         // Node 20 (a sharer, not the owner) upgrades.
-        d.handle(get(9, 20, true), 10, &mut out);
+        d.handle(get(9, 20, true), &mut out);
         let info = out
             .iter()
             .find(|o| matches!(o.msg.kind, MsgKind::DirInfo { .. }))
@@ -314,12 +302,12 @@ mod tests {
     fn busy_line_queues_until_unblock() {
         let mut d = dir();
         let mut out = Vec::new();
-        d.handle(get(3, 10, false), 0, &mut out);
+        d.handle(get(3, 10, false), &mut out);
         let mut out = Vec::new();
-        d.handle(get(3, 20, false), 1, &mut out);
+        d.handle(get(3, 20, false), &mut out);
         assert!(out.is_empty(), "second request queued while busy");
         let mut out = Vec::new();
-        d.handle(unblock(3, 10), 2, &mut out);
+        d.handle(unblock(3, 10), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].msg.kind, MsgKind::GblGetS);
         assert_eq!(out[0].msg.src, Agent::l2(NodeId(20)));
@@ -329,16 +317,16 @@ mod tests {
     fn put_removes_sharer_and_owner() {
         let mut d = dir();
         let mut out = Vec::new();
-        d.handle(get(3, 10, false), 0, &mut out);
-        d.handle(unblock(3, 10), 1, &mut out);
+        d.handle(get(3, 10, false), &mut out);
+        d.handle(unblock(3, 10), &mut out);
         let put = ProtocolMsg {
             kind: MsgKind::PutL2,
             ..get(3, 10, false)
         };
-        d.handle(put, 2, &mut out);
+        d.handle(put, &mut out);
         // The next read must go to memory again.
         let mut out = Vec::new();
-        d.handle(get(3, 20, false), 3, &mut out);
+        d.handle(get(3, 20, false), &mut out);
         assert_eq!(out[0].msg.kind, MsgKind::MemData);
         assert_eq!(d.stats().offchip_fetches, 2);
     }

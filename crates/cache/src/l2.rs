@@ -181,9 +181,16 @@ impl L2Controller {
         (t / self.cfg.timestamp_quantum) * self.cfg.timestamp_quantum
     }
 
-    /// The home L2 of the cluster that `l1_node` belongs to, for `line`.
-    fn requesting_home(&self, l1_node: NodeId, line: LineAddr) -> NodeId {
-        self.org.home_node(l1_node, line)
+    /// The same-HNid home node of `line` in a random cluster other than
+    /// this node's: the target of an IVR migration.
+    fn random_other_home(&mut self, line: LineAddr) -> NodeId {
+        let my_cluster = self.org.cluster_of(self.node);
+        let n = self.org.num_clusters();
+        let mut target = self.rng.index(n);
+        if target == my_cluster {
+            target = (target + 1) % n;
+        }
+        self.org.home_in_cluster(target, line)
     }
 
     /// Handles a protocol message addressed to this L2.
@@ -191,14 +198,14 @@ impl L2Controller {
         match msg.kind {
             MsgKind::GetS | MsgKind::GetM => self.handle_l1_request(msg, now, out),
             MsgKind::WbL1 => self.handle_l1_writeback(msg, now),
-            MsgKind::InvAckL1 { dirty } => self.handle_l1_inv_ack(msg, dirty, now, out),
+            MsgKind::InvAckL1 { .. } => self.handle_l1_inv_ack(msg, now, out),
             MsgKind::DirInfo { acks, data_coming } => {
                 self.handle_dir_info(msg, acks, data_coming, now, out)
             }
             MsgKind::FwdGetS => self.handle_fwd_gets(msg, now, out),
-            MsgKind::FwdGetM | MsgKind::InvL2 => self.handle_remote_inv(msg, now, out),
+            MsgKind::FwdGetM | MsgKind::InvL2 => self.handle_remote_inv(msg, out),
             MsgKind::BcastGetS => self.handle_bcast_gets(msg, now, out),
-            MsgKind::BcastGetM => self.handle_bcast_getm(msg, now, out),
+            MsgKind::BcastGetM => self.handle_bcast_getm(msg, out),
             MsgKind::OwnerData => self.handle_data(msg, MoesiState::S, ResponseSource::Remote, now, out),
             MsgKind::OwnerDataM => self.handle_data(msg, MoesiState::M, ResponseSource::Remote, now, out),
             MsgKind::MemData => self.handle_mem_data(msg, now, out),
@@ -220,7 +227,6 @@ impl L2Controller {
             return;
         }
         let is_write = msg.kind == MsgKind::GetM;
-        let requester = msg.requester;
         self.stats.l2_accesses += 1;
         self.stats.l2_tag_probes += 1;
         let set = self.set_of(msg.addr);
@@ -234,11 +240,10 @@ impl L2Controller {
             Some((state, sharers, l1_owner)) => {
                 self.stats.l2_hits += 1;
                 if !is_write {
-                    self.serve_local_read_hit(msg, state, l1_owner, now, out);
+                    self.serve_local_read_hit(msg, l1_owner, out);
                 } else {
                     self.serve_local_write_hit(msg, state, sharers, now, out);
                 }
-                let _ = requester;
             }
             None => {
                 self.stats.l2_misses += 1;
@@ -247,14 +252,7 @@ impl L2Controller {
         }
     }
 
-    fn serve_local_read_hit(
-        &mut self,
-        msg: ProtocolMsg,
-        _state: MoesiState,
-        l1_owner: Option<NodeId>,
-        _now: u64,
-        out: &mut Vec<Outgoing>,
-    ) {
+    fn serve_local_read_hit(&mut self, msg: ProtocolMsg, l1_owner: Option<NodeId>, out: &mut Vec<Outgoing>) {
         let set = self.set_of(msg.addr);
         if let Some(owner) = l1_owner.filter(|&o| o != msg.requester) {
             // Another L1 in the domain holds a modified copy: recall it
@@ -406,14 +404,14 @@ impl L2Controller {
         }
     }
 
-    fn handle_l1_inv_ack(&mut self, msg: ProtocolMsg, _dirty: bool, now: u64, out: &mut Vec<Outgoing>) {
+    fn handle_l1_inv_ack(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
         let Some(mshr) = self.mshrs.get_mut(&msg.addr) else {
             // Fire-and-forget invalidation (e.g. inclusive-eviction back-inval).
             return;
         };
         mshr.acks_received += 1;
         if mshr.kind == TxnKind::RemoteInv {
-            self.try_finish_remote_inv(msg.addr, now, out);
+            self.try_finish_remote_inv(msg.addr, out);
         } else {
             self.try_complete(msg.addr, now, out);
         }
@@ -452,7 +450,7 @@ impl L2Controller {
             entry.meta.state = entry.meta.state.after_sharing();
         }
         self.stats.l2_data_reads += 1;
-        let requester_home = self.requesting_home(msg.requester, msg.addr);
+        let requester_home = self.org.home_node(msg.requester, msg.addr);
         out.push(Outgoing::after(
             self.lat(),
             ProtocolMsg::derived(
@@ -464,14 +462,14 @@ impl L2Controller {
         ));
     }
 
-    fn handle_remote_inv(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
+    fn handle_remote_inv(&mut self, msg: ProtocolMsg, out: &mut Vec<Outgoing>) {
         // FwdGetM (we are the owner) or InvL2 (we are a sharer): invalidate
         // the domain's copy, collecting local L1 acks first, then acknowledge
         // to the requesting home L2 (with data iff we owned the line).
         self.stats.l2_tag_probes += 1;
         let with_data = msg.kind == MsgKind::FwdGetM;
-        let requester_home = self.requesting_home(msg.requester, msg.addr);
-        self.remote_invalidate(msg, Agent::l2(requester_home), with_data, now, out);
+        let requester_home = self.org.home_node(msg.requester, msg.addr);
+        self.remote_invalidate(msg, Agent::l2(requester_home), with_data, out);
     }
 
     fn handle_bcast_gets(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
@@ -491,7 +489,7 @@ impl L2Controller {
         ));
     }
 
-    fn handle_bcast_getm(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
+    fn handle_bcast_getm(&mut self, msg: ProtocolMsg, out: &mut Vec<Outgoing>) {
         let set = self.set_of(msg.addr);
         self.stats.l2_tag_probes += 1;
         if self.array.peek(set, msg.addr).is_none() {
@@ -506,20 +504,13 @@ impl L2Controller {
             .peek(set, msg.addr)
             .map(|e| e.meta.state.is_owner())
             .unwrap_or(false);
-        self.remote_invalidate(msg, msg.src, was_owner, now, out);
+        self.remote_invalidate(msg, msg.src, was_owner, out);
     }
 
     /// Invalidate the domain's copy of `msg.addr`, collecting local L1 acks,
     /// then send the acknowledgement (`OwnerDataM` if `with_data`, else
     /// `InvAckL2`) to `reply_to`.
-    fn remote_invalidate(
-        &mut self,
-        msg: ProtocolMsg,
-        reply_to: Agent,
-        with_data: bool,
-        _now: u64,
-        out: &mut Vec<Outgoing>,
-    ) {
+    fn remote_invalidate(&mut self, msg: ProtocolMsg, reply_to: Agent, with_data: bool, out: &mut Vec<Outgoing>) {
         let set = self.set_of(msg.addr);
         let sharers = self
             .array
@@ -558,7 +549,7 @@ impl L2Controller {
         self.mshrs.insert(msg.addr, mshr);
     }
 
-    fn try_finish_remote_inv(&mut self, addr: LineAddr, now: u64, out: &mut Vec<Outgoing>) {
+    fn try_finish_remote_inv(&mut self, addr: LineAddr, out: &mut Vec<Outgoing>) {
         let done = {
             let mshr = self.mshrs.get(&addr).expect("remote-inv mshr present");
             mshr.acks_received >= mshr.acks_needed
@@ -588,7 +579,6 @@ impl L2Controller {
             },
         ));
         self.replay_waiting(mshr.waiting, out);
-        let _ = now;
     }
 
     // ------------------------------------------------------- data / ack side
@@ -662,27 +652,12 @@ impl L2Controller {
                 return;
             }
             let acks_done = mshr.acks_received >= mshr.acks_needed && !mshr.dir_info_pending;
-            match mshr.kind {
-                TxnKind::Read => {
-                    if mshr.data_received {
-                        (true, false)
-                    } else if acks_done && mshr.vms_mode && !mshr.went_to_memory {
-                        (false, true)
-                    } else {
-                        (false, false)
-                    }
-                }
-                TxnKind::Write => {
-                    if mshr.data_received && acks_done {
-                        (true, false)
-                    } else if acks_done && !mshr.data_received && mshr.vms_mode && !mshr.went_to_memory {
-                        (false, true)
-                    } else {
-                        (false, false)
-                    }
-                }
-                TxnKind::RemoteInv => (false, false),
-            }
+            // A read completes on data alone, a write also needs every ack.
+            // A VMS search that drew no on-chip owner falls back to DRAM.
+            (
+                mshr.data_received && (mshr.kind == TxnKind::Read || acks_done),
+                !mshr.data_received && acks_done && mshr.vms_mode && !mshr.went_to_memory,
+            )
         };
 
         if need_memory {
@@ -812,13 +787,7 @@ impl L2Controller {
             // of the array to travel with the migration).
             self.stats.ivr_migrations += 1;
             self.stats.l2_data_reads += 1;
-            let my_cluster = self.org.cluster_of(self.node);
-            let n = self.org.num_clusters();
-            let mut target = self.rng.index(n);
-            if target == my_cluster {
-                target = (target + 1) % n;
-            }
-            let dst = self.org.home_in_cluster(target, victim.addr);
+            let dst = self.random_other_home(victim.addr);
             out.push(Outgoing::after(
                 self.lat(),
                 ProtocolMsg {
@@ -925,13 +894,7 @@ impl L2Controller {
                 }
                 return;
             }
-            let my_cluster = self.org.cluster_of(self.node);
-            let n = self.org.num_clusters();
-            let mut target = self.rng.index(n);
-            if target == my_cluster {
-                target = (target + 1) % n;
-            }
-            let dst = self.org.home_in_cluster(target, msg.addr);
+            let dst = self.random_other_home(msg.addr);
             self.stats.ivr_migrations += 1;
             out.push(Outgoing::after(
                 self.lat(),

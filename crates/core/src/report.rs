@@ -6,7 +6,7 @@
 //! aligned text tables (for the `reproduce` binary and EXPERIMENTS.md) and
 //! serialize to JSON.
 
-use crate::json::{self, ParseError, Value};
+use crate::json::Value;
 use std::fmt;
 
 /// One labelled series of a figure.
@@ -130,11 +130,6 @@ impl Figure {
         out
     }
 
-    /// Serializes the figure to pretty JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_pretty()
-    }
-
     /// The figure as an in-tree JSON [`Value`] (for embedding into larger
     /// documents, e.g. the `reproduce` CLI's single-file campaign dump).
     pub fn to_json_value(&self) -> Value {
@@ -166,69 +161,6 @@ impl Figure {
             ),
             ("series".into(), Value::Array(series)),
         ])
-    }
-
-    /// Deserializes a figure previously emitted by [`Figure::to_json`].
-    pub fn from_json(text: &str) -> Result<Figure, ParseError> {
-        let doc = json::parse(text)?;
-        let field_err = |what: &str| ParseError {
-            offset: 0,
-            message: format!("figure document is missing or mistypes '{what}'"),
-        };
-        let string_of = |key: &str| -> Result<String, ParseError> {
-            doc.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| field_err(key))
-        };
-        let x_labels = doc
-            .get("x_labels")
-            .and_then(Value::as_array)
-            .ok_or_else(|| field_err("x_labels"))?
-            .iter()
-            .map(|v| v.as_str().map(str::to_string).ok_or_else(|| field_err("x_labels")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let series = doc
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or_else(|| field_err("series"))?
-            .iter()
-            .map(|s| {
-                let label = s
-                    .get("label")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| field_err("series.label"))?;
-                let values = s
-                    .get("values")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| field_err("series.values"))?
-                    .iter()
-                    .map(|v| v.as_f64().ok_or_else(|| field_err("series.values")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Series::new(label, values))
-            })
-            .collect::<Result<Vec<_>, ParseError>>()?;
-        // Re-establish the push_series invariant: every series matches the
-        // x-axis length (a mismatched document must not build a Figure that
-        // panics later in to_text_table).
-        if let Some(bad) = series.iter().find(|s| s.values.len() != x_labels.len()) {
-            return Err(ParseError {
-                offset: 0,
-                message: format!(
-                    "series '{}' has {} values for {} x_labels",
-                    bad.label,
-                    bad.values.len(),
-                    x_labels.len()
-                ),
-            });
-        }
-        Ok(Figure {
-            id: string_of("id")?,
-            title: string_of("title")?,
-            y_label: string_of("y_label")?,
-            x_labels,
-            series,
-        })
     }
 }
 
@@ -271,11 +203,15 @@ mod tests {
         assert!(t.contains("0.800"));
     }
 
+    /// Prints `fig` as pretty JSON and parses it back to the same value.
+    fn assert_json_round_trips(fig: &Figure) {
+        let value = fig.to_json_value();
+        assert_eq!(crate::json::parse(&value.to_pretty()).unwrap(), value);
+    }
+
     #[test]
     fn json_round_trips() {
-        let fig = sample();
-        let parsed = Figure::from_json(&fig.to_json()).unwrap();
-        assert_eq!(parsed, fig);
+        assert_json_round_trips(&sample());
     }
 
     #[test]
@@ -283,26 +219,7 @@ mod tests {
         let mut fig = Figure::new("fig00", "precision", "ratio");
         fig.x_labels = vec!["a".into(), "b".into(), "c".into()];
         fig.push_series(Series::new("s", vec![1.0 / 3.0, 0.1, 123456.789]));
-        let parsed = Figure::from_json(&fig.to_json()).unwrap();
-        assert_eq!(parsed, fig);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_documents() {
-        assert!(Figure::from_json("not json").is_err());
-        assert!(Figure::from_json("{}").is_err());
-        assert!(Figure::from_json(r#"{"id": 3}"#).is_err());
-    }
-
-    #[test]
-    fn from_json_rejects_series_shorter_than_the_x_axis() {
-        let doc = r#"{
-            "id": "f", "title": "t", "y_label": "y",
-            "x_labels": ["a", "b", "c"],
-            "series": [{"label": "s", "values": [1.0]}]
-        }"#;
-        let err = Figure::from_json(doc).unwrap_err();
-        assert!(err.message.contains("has 1 values for 3 x_labels"), "{err}");
+        assert_json_round_trips(&fig);
     }
 
     #[test]

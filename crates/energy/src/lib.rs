@@ -138,7 +138,7 @@ impl EnergyParams {
     /// same results always produce the same breakdown, bit for bit. Every
     /// multiply and fold is overflow-checked: a counter set large enough to
     /// wrap u64 femtojoules panics loudly instead of silently corrupting
-    /// the figures (see [`mul_fj`]).
+    /// the figures (see `mul_fj`).
     pub fn breakdown(&self, results: &SimResults) -> EnergyBreakdown {
         EnergyBreakdown {
             network: self.network_energy(&results.network),

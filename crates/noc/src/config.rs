@@ -42,8 +42,6 @@ pub struct NocConfig {
     pub router: RouterKind,
     /// Maximum hops per cycle for SMART / express-link reach for high-radix.
     pub hpc_max: u16,
-    /// Number of virtual networks (message classes). Table 1: 5.
-    pub virtual_networks: u8,
     /// Virtual channels per virtual network. Table 1: 4.
     pub vcs_per_vn: u8,
     /// Buffer depth, in packets, of each VC.
@@ -53,8 +51,6 @@ pub struct NocConfig {
     /// Router pipeline depth in cycles for packets that stop at the router
     /// (1 for conventional/SMART, 4 for high-radix).
     pub router_pipeline: u8,
-    /// Number of packets a NIC can inject per cycle.
-    pub injection_rate: u8,
 }
 
 impl NocConfig {
@@ -64,12 +60,10 @@ impl NocConfig {
             mesh: Mesh::new(width, height),
             router: RouterKind::Smart,
             hpc_max,
-            virtual_networks: 5,
             vcs_per_vn: 4,
             vc_depth: 4,
             link_bytes: 16,
             router_pipeline: 1,
-            injection_rate: 1,
         }
     }
 
@@ -112,9 +106,6 @@ impl NocConfig {
         if self.hpc_max == 0 {
             return Err("hpc_max must be at least 1".into());
         }
-        if self.virtual_networks == 0 {
-            return Err("at least one virtual network is required".into());
-        }
         if self.vcs_per_vn == 0 || self.vc_depth == 0 {
             return Err("virtual channel count and depth must be non-zero".into());
         }
@@ -131,11 +122,12 @@ impl NocConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::VirtualNetwork;
 
     #[test]
     fn table1_defaults() {
         let c = NocConfig::smart_mesh(8, 8, 4);
-        assert_eq!(c.virtual_networks, 5);
+        assert_eq!(VirtualNetwork::ALL.len(), 5);
         assert_eq!(c.vcs_per_vn, 4);
         assert_eq!(c.link_bytes, 16);
         assert_eq!(c.hpc_max, 4);

@@ -9,64 +9,48 @@
 //! in the best case on this fabric).
 
 use crate::config::NocConfig;
-use crate::router::{Arrival, Backpressure, Buffered, FabricEngine, RouterCore};
+use crate::router::{Arrival, Backpressure, Buffered, RouterCore};
 
-/// The conventional-router fabric engine.
+/// The conventional traversal: downstream buffer space and this cycle's
+/// switch-allocation winners.
 #[derive(Debug)]
-pub struct ConventionalFabric {
-    core: RouterCore,
-    /// Downstream buffer space and this cycle's switch-allocation winners.
+pub(crate) struct ConventionalEngine {
     grants: Backpressure,
 }
 
-impl ConventionalFabric {
-    /// Builds the fabric for the given configuration.
-    pub fn new(cfg: NocConfig) -> Self {
-        ConventionalFabric {
-            core: RouterCore::new(&cfg, 1, false),
-            grants: Backpressure::new(&cfg, false),
+impl ConventionalEngine {
+    /// Builds the traversal state for the given configuration.
+    pub fn new(cfg: &NocConfig) -> Self {
+        ConventionalEngine {
+            grants: Backpressure::new(cfg, false),
         }
     }
-}
 
-impl FabricEngine for ConventionalFabric {
-    fn core(&self) -> &RouterCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut RouterCore {
-        &mut self.core
-    }
-
-    fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>) {
-        // All fabric packets live in router buffers between ticks; an empty
-        // fabric has nothing to arbitrate and nothing to move.
-        if self.core.in_flight() == 0 {
-            return;
-        }
+    /// Moves this cycle's winners one hop each, appending packets that
+    /// reached their segment destination to `arrivals`.
+    pub fn tick(&mut self, core: &mut RouterCore, now: u64, arrivals: &mut Vec<Arrival>) {
         // Switch allocation: for every router and output direction, pick one
         // ready head whose link is free and whose neighbour has buffer space.
         // Moves are granted first and applied afterwards so that a packet
         // moved this cycle cannot be moved again within the same cycle.
-        self.core.allocate(now, &mut self.grants);
+        core.allocate(now, &mut self.grants);
         for (node, lane) in self.grants.grants.drain(..) {
-            let Buffered { flight, route, .. } = self.core.pop(node, lane);
+            let Buffered { flight, route, .. } = core.pop(node, lane);
             let flits = u64::from(flight.flits);
             // Event accounting: one buffer read (in `pop`) + one crossbar
             // pass at the winning router, one link crossed flit by flit, one
             // latch at the downstream router.
-            let c = &mut self.core.counters;
+            let c = &mut core.counters;
             c.crossbar_traversals += 1;
             c.link_flit_hops += flits;
             c.stop_hops += 1;
             // The output link is held for the full packet length.
-            self.core
-                .links
+            core.links
                 .occupy(node, usize::from(route.link), now + flits);
             // 1 cycle in the router (already spent winning SA this cycle) +
             // 1 cycle link traversal + serialization of the tail flits.
             let arrival_cycle = now + 1 + (flits - 1);
-            self.core.land(
+            core.land(
                 flight,
                 route.landing,
                 route.dir.opposite(),
@@ -81,40 +65,19 @@ impl FabricEngine for ConventionalFabric {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::message::VirtualNetwork;
-    use crate::router::{FlightInfo, PacketId};
-    use crate::topology::NodeId;
-
-    fn flight(id: u32, src: u16, dest: u16, flits: u32, injected: u64) -> FlightInfo {
-        FlightInfo {
-            id: PacketId(id),
-            src: NodeId(src),
-            dest: NodeId(dest),
-            vn: VirtualNetwork::Request,
-            flits,
-            injected_at: injected,
-            stops: 0,
-        }
-    }
-
-    fn run_until_arrival(fab: &mut ConventionalFabric, start: u64, limit: u64) -> Vec<Arrival> {
-        let mut arrivals = Vec::new();
-        let mut now = start;
-        while arrivals.is_empty() && now < start + limit {
-            fab.tick(now, &mut arrivals);
-            now += 1;
-        }
-        arrivals
-    }
+    use crate::config::NocConfig;
+    use crate::router::tests::{
+        check_skip_window_under_partial_occupancy, drain, flight, walk_lone_packet_by_next_event,
+    };
+    use crate::router::Fabric;
 
     #[test]
     fn two_cycles_per_hop_best_case() {
         let cfg = NocConfig::conventional_mesh(8, 8);
-        let mut fab = ConventionalFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         // 0 -> 7 is 7 hops along the bottom row.
-        fab.inject(flight(1, 0, 7, 1, 0), 0);
-        let arr = run_until_arrival(&mut fab, 0, 100);
+        fab.inject(flight(1, 0, 7, 1), 0);
+        let arr = drain(&mut fab, 100);
         assert_eq!(arr.len(), 1);
         // ~2 cycles per hop plus injection overhead.
         let latency = arr[0].now - arr[0].flight.injected_at;
@@ -126,9 +89,9 @@ mod tests {
     fn corner_to_corner_is_about_28_cycles() {
         // Section 2: 14 hops on a conventional NoC take 28 cycles best case.
         let cfg = NocConfig::conventional_mesh(8, 8);
-        let mut fab = ConventionalFabric::new(cfg);
-        fab.inject(flight(1, 0, 63, 1, 0), 0);
-        let arr = run_until_arrival(&mut fab, 0, 100);
+        let mut fab = Fabric::new(&cfg);
+        fab.inject(flight(1, 0, 63, 1), 0);
+        let arr = drain(&mut fab, 100);
         let latency = arr[0].now - arr[0].flight.injected_at;
         assert!((28..=31).contains(&latency), "latency {latency}");
     }
@@ -136,29 +99,24 @@ mod tests {
     #[test]
     fn multi_flit_packets_add_serialization_delay() {
         let cfg = NocConfig::conventional_mesh(4, 4);
-        let mut fab = ConventionalFabric::new(cfg);
-        fab.inject(flight(1, 0, 3, 3, 0), 0);
-        let arr = run_until_arrival(&mut fab, 0, 100);
-        let lat3 = arr[0].now;
+        let mut fab = Fabric::new(&cfg);
+        fab.inject(flight(1, 0, 3, 3), 0);
+        let lat3 = drain(&mut fab, 100)[0].now;
 
-        let mut fab1 = ConventionalFabric::new(cfg);
-        fab1.inject(flight(2, 0, 3, 1, 0), 0);
-        let arr1 = run_until_arrival(&mut fab1, 0, 100);
-        let lat1 = arr1[0].now;
+        let mut fab1 = Fabric::new(&cfg);
+        fab1.inject(flight(2, 0, 3, 1), 0);
+        let lat1 = drain(&mut fab1, 100)[0].now;
         assert!(lat3 > lat1, "3-flit {lat3} should exceed 1-flit {lat1}");
     }
 
     #[test]
     fn contention_serializes_packets_on_shared_link() {
         let cfg = NocConfig::conventional_mesh(4, 1);
-        let mut fab = ConventionalFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         // Two packets from node 0 to node 3 compete for the same links.
-        fab.inject(flight(1, 0, 3, 4, 0), 0);
-        fab.inject(flight(2, 0, 3, 4, 0), 0);
-        let mut arrivals = Vec::new();
-        for now in 0..200 {
-            fab.tick(now, &mut arrivals);
-        }
+        fab.inject(flight(1, 0, 3, 4), 0);
+        fab.inject(flight(2, 0, 3, 4), 0);
+        let arrivals = drain(&mut fab, 200);
         assert_eq!(arrivals.len(), 2);
         let mut times: Vec<u64> = arrivals.iter().map(|a| a.now).collect();
         times.sort_unstable();
@@ -168,83 +126,28 @@ mod tests {
 
     #[test]
     fn next_event_bounds_every_state_change_from_below() {
-        let cfg = NocConfig::conventional_mesh(8, 8);
-        let mut fab = ConventionalFabric::new(cfg);
-        assert_eq!(fab.next_event(0), None, "empty fabric has no events");
-        fab.inject(flight(1, 0, 7, 1, 0), 0);
-        // The injected head becomes switch-eligible at cycle 1.
-        assert_eq!(fab.next_event(0), Some(1));
-        // Walk to completion, asserting no tick before the probe's bound
-        // ever changes state and every tick at the bound is reached.
-        let mut arrivals = Vec::new();
-        let mut now = 0;
-        while fab.in_flight() > 0 {
-            let e = fab.next_event(now).expect("packets in flight");
-            assert!(e >= now, "bound must not regress");
-            // Ticking strictly before the bound must be a no-op; the fabric
-            // asserts internally (active set, counters) and the packet must
-            // not arrive early.
-            for t in now..e {
-                fab.tick(t, &mut arrivals);
-                assert!(arrivals.is_empty(), "state changed before the bound");
-            }
-            fab.tick(e, &mut arrivals);
-            now = e + 1;
-            assert!(now < 100, "packet never arrived");
-        }
-        assert_eq!(arrivals.len(), 1);
-        assert_eq!(fab.next_event(now), None, "drained fabric is quiescent");
+        let arrival = walk_lone_packet_by_next_event(NocConfig::conventional_mesh(8, 8), 0, 7);
         // ~2 cycles per hop over 7 hops, same as the naive per-cycle walk.
-        let latency = arrivals[0].now - arrivals[0].flight.injected_at;
+        let latency = arrival.now - arrival.flight.injected_at;
         assert!((14..=17).contains(&latency), "latency {latency}");
     }
 
     #[test]
     fn next_event_opens_a_skip_window_under_partial_occupancy() {
         // Two 4-flit packets race for the same links: after the first wins
-        // switch allocation, the fabric still holds both packets yet the
-        // probe must name a *future* horizon (the loser waits for the link,
-        // the winner serializes), and every tick before it is a no-op. This
-        // is the property the system scheduler leans on since PR 5 — the old
-        // drain-only probe treated any occupancy as "step every cycle".
+        // switch allocation, the loser waits for the link and the winner
+        // serializes.
         let cfg = NocConfig::conventional_mesh(4, 1);
-        let mut fab = ConventionalFabric::new(cfg);
-        fab.inject(flight(1, 0, 3, 4, 0), 0);
-        fab.inject(flight(2, 0, 3, 4, 0), 0);
-        let mut arrivals = Vec::new();
-        fab.tick(0, &mut arrivals);
-        fab.tick(1, &mut arrivals); // first packet wins SA, holds the link
-        assert!(arrivals.is_empty());
-        assert_eq!(fab.in_flight(), 2, "both packets still inside the fabric");
-        let e = fab.next_event(2).expect("packets in flight");
-        assert!(e > 2, "partial occupancy must yield a future horizon, got {e}");
-        let before = *fab.counters();
-        for t in 2..e {
-            fab.tick(t, &mut arrivals);
-            assert!(arrivals.is_empty(), "state changed before the bound");
-            assert_eq!(*fab.counters(), before, "counters moved in a dead cycle");
-        }
-        // Run to completion: both packets must still arrive.
-        let mut now = e;
-        while fab.in_flight() > 0 {
-            fab.tick(now, &mut arrivals);
-            now += 1;
-            assert!(now < 200, "packets never arrived");
-        }
-        assert_eq!(arrivals.len(), 2);
+        check_skip_window_under_partial_occupancy(cfg, &[(0, 3, 4), (0, 3, 4)]);
     }
 
     #[test]
     fn event_counters_match_the_hop_count() {
         let cfg = NocConfig::conventional_mesh(8, 8);
-        let mut fab = ConventionalFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         // 0 -> 7: 7 hops, single flit, no contention.
-        fab.inject(flight(1, 0, 7, 1, 0), 0);
-        let mut arrivals = Vec::new();
-        for now in 0..100 {
-            fab.tick(now, &mut arrivals);
-        }
-        assert_eq!(arrivals.len(), 1);
+        fab.inject(flight(1, 0, 7, 1), 0);
+        assert_eq!(drain(&mut fab, 100).len(), 1);
         let c = *fab.counters();
         assert_eq!(c.buffer_reads, 7, "one read per hop");
         assert_eq!(c.crossbar_traversals, 7);
@@ -259,14 +162,11 @@ mod tests {
     #[test]
     fn in_flight_count_tracks_packets() {
         let cfg = NocConfig::conventional_mesh(4, 4);
-        let mut fab = ConventionalFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         assert_eq!(fab.in_flight(), 0);
-        fab.inject(flight(1, 0, 5, 1, 0), 0);
+        fab.inject(flight(1, 0, 5, 1), 0);
         assert_eq!(fab.in_flight(), 1);
-        let mut arrivals = Vec::new();
-        for now in 0..50 {
-            fab.tick(now, &mut arrivals);
-        }
+        let arrivals = drain(&mut fab, 50);
         assert_eq!(fab.in_flight(), 0);
         assert_eq!(arrivals.len(), 1);
     }

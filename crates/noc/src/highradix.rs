@@ -11,77 +11,61 @@
 //! turn.
 
 use crate::config::NocConfig;
-use crate::router::{Arrival, Backpressure, Buffered, FabricEngine, RouterCore};
+use crate::router::{Arrival, Backpressure, Buffered, RouterCore};
 
-/// The high-radix (Flattened-Butterfly-like) fabric engine.
+/// The high-radix (Flattened-Butterfly-like) traversal.
 ///
 /// All spans of a direction fold into one input port (they share an input
 /// buffer pool), but every (direction, span) has its own output link for
 /// bandwidth accounting, which matches the "4x higher bisection throughput"
 /// property the paper ascribes to this design.
 #[derive(Debug)]
-pub struct HighRadixFabric {
+pub(crate) struct HighRadixEngine {
     router_pipeline: u8,
-    core: RouterCore,
     /// Downstream buffer space and this cycle's switch-allocation winners.
     grants: Backpressure,
 }
 
-impl HighRadixFabric {
-    /// Builds the fabric for the given configuration.
-    pub fn new(cfg: NocConfig) -> Self {
-        HighRadixFabric {
+impl HighRadixEngine {
+    /// Builds the traversal state for the given configuration.
+    pub fn new(cfg: &NocConfig) -> Self {
+        HighRadixEngine {
             router_pipeline: cfg.router_pipeline,
-            core: RouterCore::new(&cfg, cfg.hpc_max, true),
             // A packet landing at its destination ejects, so it needs no
             // downstream buffer slot.
-            grants: Backpressure::new(&cfg, true),
+            grants: Backpressure::new(cfg, true),
         }
     }
-}
 
-impl FabricEngine for HighRadixFabric {
-    fn core(&self) -> &RouterCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut RouterCore {
-        &mut self.core
-    }
-
-    fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>) {
-        // All fabric packets live in router buffers between ticks; an empty
-        // fabric has nothing to arbitrate and nothing to move.
-        if self.core.in_flight() == 0 {
-            return;
-        }
+    /// Moves this cycle's winners one express hop each, appending packets
+    /// that reached their segment destination to `arrivals`.
+    pub fn tick(&mut self, core: &mut RouterCore, now: u64, arrivals: &mut Vec<Arrival>) {
         // One arbitration per output *direction*; the winner then uses the
         // express link matching its span. This under-uses the extra
         // bandwidth slightly but keeps the multi-stage arbiter abstraction
         // honest (a single input can only feed one output per cycle).
-        self.core.allocate(now, &mut self.grants);
+        core.allocate(now, &mut self.grants);
         for (node, lane) in self.grants.grants.drain(..) {
-            let Buffered { flight, route, .. } = self.core.pop(node, lane);
+            let Buffered { flight, route, .. } = core.pop(node, lane);
             let flits = u64::from(flight.flits);
             // Event accounting: one buffer read (in `pop`) and one
             // (multi-stage) crossbar pass at the winning router, one express
             // link whose wire spans `hops` mesh hops, a full pipeline pass
             // and a latch at the landing router.
-            let c = &mut self.core.counters;
+            let c = &mut core.counters;
             c.crossbar_traversals += 1;
             c.express_traversals += 1;
             c.link_flit_hops += u64::from(route.hops) * flits;
             c.pipeline_passes += 1;
             c.stop_hops += 1;
-            self.core
-                .links
+            core.links
                 .occupy(node, usize::from(route.link), now + flits);
             // The multi-stage router pipeline is charged at the *downstream*
             // stop (the packet must go through the full pipeline before it
             // can be switched again or ejected), plus one link cycle and
             // serialization.
             let arrival_cycle = now + 1 + (flits - 1) + u64::from(self.router_pipeline);
-            self.core.land(
+            core.land(
                 flight,
                 route.landing,
                 route.dir.opposite(),
@@ -96,36 +80,16 @@ impl FabricEngine for HighRadixFabric {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::message::VirtualNetwork;
-    use crate::router::{FlightInfo, PacketId};
-    use crate::smart::SmartFabric;
-    use crate::topology::NodeId;
-
-    fn flight(id: u32, src: u16, dest: u16, flits: u32) -> FlightInfo {
-        FlightInfo {
-            id: PacketId(id),
-            src: NodeId(src),
-            dest: NodeId(dest),
-            vn: VirtualNetwork::Request,
-            flits,
-            injected_at: 0,
-            stops: 0,
-        }
-    }
-
-    fn drain<F: FabricEngine>(fab: &mut F, cycles: u64) -> Vec<Arrival> {
-        let mut arrivals = Vec::new();
-        for now in 0..cycles {
-            fab.tick(now, &mut arrivals);
-        }
-        arrivals
-    }
+    use crate::config::NocConfig;
+    use crate::router::tests::{
+        check_skip_window_under_partial_occupancy, drain, flight, walk_lone_packet_by_next_event,
+    };
+    use crate::router::Fabric;
 
     #[test]
     fn single_express_hop_pays_pipeline_cost() {
         let cfg = NocConfig::highradix_mesh(8, 8, 4);
-        let mut fab = HighRadixFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         fab.inject(flight(1, 0, 4, 1), 0);
         let arr = drain(&mut fab, 30);
         assert_eq!(arr.len(), 1);
@@ -137,10 +101,8 @@ mod tests {
 
     #[test]
     fn highradix_slower_than_smart_within_cluster() {
-        let hr_cfg = NocConfig::highradix_mesh(8, 8, 4);
-        let s_cfg = NocConfig::smart_mesh(8, 8, 4);
-        let mut hr = HighRadixFabric::new(hr_cfg);
-        let mut sm = SmartFabric::new(s_cfg);
+        let mut hr = Fabric::new(&NocConfig::highradix_mesh(8, 8, 4));
+        let mut sm = Fabric::new(&NocConfig::smart_mesh(8, 8, 4));
         hr.inject(flight(1, 0, 3, 1), 0);
         sm.inject(flight(1, 0, 3, 1), 0);
         let h = drain(&mut hr, 50)[0].now;
@@ -151,7 +113,7 @@ mod tests {
     #[test]
     fn xy_turn_costs_two_express_hops() {
         let cfg = NocConfig::highradix_mesh(8, 8, 4);
-        let mut fab = HighRadixFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         let dest = 8 * 4 + 4; // 4 east + 4 north
         fab.inject(flight(1, 0, dest, 1), 0);
         let arr = drain(&mut fab, 50);
@@ -162,7 +124,7 @@ mod tests {
     #[test]
     fn long_distance_uses_multiple_express_hops() {
         let cfg = NocConfig::highradix_mesh(16, 16, 4);
-        let mut fab = HighRadixFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         // 15 hops east = 4 express hops.
         fab.inject(flight(1, 0, 15, 1), 0);
         let arr = drain(&mut fab, 80);
@@ -172,28 +134,10 @@ mod tests {
 
     #[test]
     fn next_event_bounds_every_state_change_from_below() {
-        let cfg = NocConfig::highradix_mesh(8, 8, 4);
-        let mut fab = HighRadixFabric::new(cfg);
-        assert_eq!(fab.next_event(0), None, "empty fabric has no events");
         // 4 east + 4 north: two express hops with a stop at the turn router.
-        fab.inject(flight(1, 0, 8 * 4 + 4, 1), 0);
-        assert_eq!(fab.next_event(0), Some(1));
-        let mut arrivals = Vec::new();
-        let mut now = 0;
-        while fab.in_flight() > 0 {
-            let e = fab.next_event(now).expect("packet in flight");
-            assert!(e >= now, "bound must not regress");
-            for t in now..e {
-                fab.tick(t, &mut arrivals);
-                assert!(arrivals.is_empty(), "state changed before the bound");
-            }
-            fab.tick(e, &mut arrivals);
-            now = e + 1;
-            assert!(now < 100, "packet never arrived");
-        }
-        assert_eq!(arrivals.len(), 1);
-        assert_eq!(arrivals[0].flight.stops, 2);
-        assert_eq!(fab.next_event(now), None, "drained fabric is quiescent");
+        let cfg = NocConfig::highradix_mesh(8, 8, 4);
+        let arrival = walk_lone_packet_by_next_event(cfg, 0, 8 * 4 + 4);
+        assert_eq!(arrival.flight.stops, 2);
     }
 
     #[test]
@@ -201,41 +145,17 @@ mod tests {
         // A packet that lands at an intermediate stop sits out the 4-stage
         // pipeline before it can be switched again: the fabric holds it the
         // whole time, yet the probe must name that future ready cycle so the
-        // scheduler can skip the pipeline wait (the old drain-only probe
-        // stepped through it cycle by cycle).
+        // scheduler can skip the pipeline wait. 15 hops east: 4 express hops
+        // with 3 intermediate stops.
         let cfg = NocConfig::highradix_mesh(16, 1, 4);
-        let mut fab = HighRadixFabric::new(cfg);
-        // 15 hops east: 4 express hops with 3 intermediate stops.
-        fab.inject(flight(1, 0, 15, 1), 0);
-        let mut arrivals = Vec::new();
-        fab.tick(0, &mut arrivals);
-        fab.tick(1, &mut arrivals); // first express hop launches
-        assert_eq!(fab.in_flight(), 1, "packet still inside the fabric");
-        let e = fab.next_event(2).expect("packet in flight");
-        assert!(
-            e > 2,
-            "the pipeline wait at the landing router must be skippable, got {e}"
-        );
-        let before = *fab.counters();
-        for t in 2..e {
-            fab.tick(t, &mut arrivals);
-            assert!(arrivals.is_empty(), "state changed before the bound");
-            assert_eq!(*fab.counters(), before, "counters moved in a dead cycle");
-        }
-        let mut now = e;
-        while fab.in_flight() > 0 {
-            fab.tick(now, &mut arrivals);
-            now += 1;
-            assert!(now < 200, "packet never arrived");
-        }
-        assert_eq!(arrivals.len(), 1);
+        let arrivals = check_skip_window_under_partial_occupancy(cfg, &[(0, 15, 1)]);
         assert_eq!(arrivals[0].flight.stops, 4);
     }
 
     #[test]
     fn event_counters_charge_pipeline_passes_and_wire_spans() {
         let cfg = NocConfig::highradix_mesh(8, 8, 4);
-        let mut fab = HighRadixFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         // One 4-hop express link: a single move whose wire spans 4 hops.
         fab.inject(flight(1, 0, 4, 1), 0);
         drain(&mut fab, 30);
@@ -254,7 +174,7 @@ mod tests {
         // Two packets leaving node 0 eastwards with different spans use
         // different express links and need not fully serialize.
         let cfg = NocConfig::highradix_mesh(8, 1, 4);
-        let mut fab = HighRadixFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         fab.inject(flight(1, 0, 4, 4), 0);
         fab.inject(flight(2, 0, 2, 4), 0);
         let arr = drain(&mut fab, 60);

@@ -23,13 +23,14 @@
 //! reproduce the latency/contention trends of the paper while keeping the
 //! simulator tractable (see `DESIGN.md` §9).
 //!
-//! The three fabric engines ([`conventional`], [`smart`], [`highradix`])
-//! share one [`router::RouterCore`]. It holds the buffers, the arbiters and
-//! the link occupancy, and it runs the switch-allocation scan and the
-//! `next_event` probe. Each engine adds only its policy: the reach of a
-//! route, an extra eligibility check, and the traversal of the winners. A
-//! head's route depends only on (router, destination), so it is computed
-//! once, when the packet is buffered (`DESIGN.md` §5).
+//! The three router kinds are one concrete [`router::Fabric`] over one
+//! [`router::RouterCore`]. The core holds the buffers, the arbiters and the
+//! link occupancy, and it runs the switch-allocation scan; the fabric adds
+//! injection and the `next_event` probe. Each router kind adds only its
+//! policy: the reach of a route, an extra eligibility check, and the
+//! traversal of the winners (private modules `conventional`, `smart` and
+//! `highradix`). A head's route depends only on (router, destination), so
+//! it is computed once, when the packet is buffered (`DESIGN.md` §5).
 //!
 //! ## Quick example
 //!
@@ -58,14 +59,14 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod conventional;
+mod conventional;
 pub mod fx;
-pub mod highradix;
+mod highradix;
 pub mod message;
 pub mod network;
 pub mod rng;
 pub mod router;
-pub mod smart;
+mod smart;
 pub mod stats;
 pub mod topology;
 pub mod vms;

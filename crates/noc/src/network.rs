@@ -1,12 +1,9 @@
 //! The network front-end: payload ownership, multicast expansion, ejection
-//! queues and statistics, on top of one of the three fabric engines.
+//! queues and statistics, on top of the [`Fabric`].
 
-use crate::config::{NocConfig, RouterKind};
-use crate::conventional::ConventionalFabric;
-use crate::highradix::HighRadixFabric;
-use crate::message::{Delivered, Destination, MulticastGroupId, NetMessage, VirtualNetwork};
-use crate::router::{Arrival, FabricEngine, FlightInfo, PacketId};
-use crate::smart::SmartFabric;
+use crate::config::NocConfig;
+use crate::message::{Delivered, Destination, MulticastGroupId, NetMessage};
+use crate::router::{Arrival, Fabric, FlightInfo, PacketId};
 use crate::stats::NetworkStats;
 use crate::topology::{Direction, NodeId};
 use crate::vms::MulticastTree;
@@ -45,30 +42,6 @@ impl<P> fmt::Display for InjectError<P> {
 }
 
 impl<P> std::error::Error for InjectError<P> {}
-
-enum Fabric {
-    Conventional(ConventionalFabric),
-    Smart(SmartFabric),
-    HighRadix(HighRadixFabric),
-}
-
-impl Fabric {
-    fn as_engine(&mut self) -> &mut dyn FabricEngine {
-        match self {
-            Fabric::Conventional(f) => f,
-            Fabric::Smart(f) => f,
-            Fabric::HighRadix(f) => f,
-        }
-    }
-
-    fn as_engine_ref(&self) -> &dyn FabricEngine {
-        match self {
-            Fabric::Conventional(f) => f,
-            Fabric::Smart(f) => f,
-            Fabric::HighRadix(f) => f,
-        }
-    }
-}
 
 struct PacketRecord<P> {
     msg: NetMessage<P>,
@@ -109,14 +82,9 @@ impl<P: Clone> Network<P> {
     /// Panics if the configuration fails [`NocConfig::validate`].
     pub fn new(cfg: NocConfig) -> Self {
         cfg.validate().expect("invalid NoC configuration");
-        let fabric = match cfg.router {
-            RouterKind::Conventional => Fabric::Conventional(ConventionalFabric::new(cfg)),
-            RouterKind::Smart => Fabric::Smart(SmartFabric::new(cfg)),
-            RouterKind::HighRadix => Fabric::HighRadix(HighRadixFabric::new(cfg)),
-        };
         Network {
             cfg,
-            fabric,
+            fabric: Fabric::new(&cfg),
             cycle: 0,
             groups: Vec::new(),
             packets: Vec::new(),
@@ -149,21 +117,6 @@ impl<P: Clone> Network<P> {
         let id = MulticastGroupId(self.groups.len() as u32);
         self.groups.push(MulticastTree::new(self.cfg.mesh, members));
         id
-    }
-
-    /// Members of a previously registered multicast group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group id was not returned by this network.
-    pub fn multicast_members(&self, group: MulticastGroupId) -> &[NodeId] {
-        self.groups[group.0 as usize].members()
-    }
-
-    /// Whether the injection port at `node` can accept a message on `vn`
-    /// this cycle.
-    fn can_inject(&self, node: NodeId, vn: VirtualNetwork) -> bool {
-        self.fabric.as_engine_ref().can_accept(node, vn)
     }
 
     /// Injects a message.
@@ -201,7 +154,7 @@ impl<P: Clone> Network<P> {
                 Ok(())
             }
             Destination::Unicast(dest) => {
-                if !self.can_inject(msg.src, msg.vn) {
+                if !self.fabric.can_accept(msg.src, msg.vn) {
                     return Err(InjectError(msg));
                 }
                 self.stats.injected_messages += 1;
@@ -220,7 +173,7 @@ impl<P: Clone> Network<P> {
                     (group.0 as usize) < self.groups.len(),
                     "unregistered multicast group {group:?}"
                 );
-                if !self.can_inject(msg.src, msg.vn) {
+                if !self.fabric.can_accept(msg.src, msg.vn) {
                     return Err(InjectError(msg));
                 }
                 assert!(
@@ -276,14 +229,14 @@ impl<P: Clone> Network<P> {
             id: PacketId(slot),
             ..flight
         };
-        self.fabric.as_engine().inject(flight, self.cycle);
+        self.fabric.inject(flight, self.cycle);
     }
 
     /// Advances the network by one cycle.
     pub fn tick(&mut self) {
         let mut arrivals = std::mem::take(&mut self.arrivals_scratch);
         debug_assert!(arrivals.is_empty());
-        self.fabric.as_engine().tick(self.cycle, &mut arrivals);
+        self.fabric.tick(self.cycle, &mut arrivals);
         // Fabric arrival times are always in the future (`> self.cycle`).
         // Every arrival waits in the wheel for its release cycle, queued
         // behind the older arrivals due at the same cycle. The release order
@@ -311,7 +264,7 @@ impl<P: Clone> Network<P> {
     ///
     /// The bound holds under *partial occupancy*: the earliest queued
     /// arrival (multi-flit releases, high-radix pipeline exits) is folded with
-    /// the fabric engine's per-head probe, so a network holding blocked or
+    /// the fabric's per-head probe, so a network holding blocked or
     /// serializing packets still reports a future horizon instead of
     /// degenerating to "busy". Already-delivered messages waiting in
     /// ejection queues are not events — ticking never changes them — so
@@ -325,7 +278,7 @@ impl<P: Clone> Network<P> {
             .pending
             .next_ready()
             .map(|ready| ready.saturating_sub(1).max(self.cycle));
-        let fabric = self.fabric.as_engine_ref().next_event(self.cycle);
+        let fabric = self.fabric.next_event(self.cycle);
         match (pending, fabric) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -426,7 +379,7 @@ impl<P: Clone> Network<P> {
     /// arrivals not yet released to an ejection queue), excluding already
     /// delivered messages waiting to be ejected.
     pub fn in_flight(&self) -> usize {
-        self.fabric.as_engine_ref().in_flight() + self.pending.len()
+        self.fabric.in_flight() + self.pending.len()
     }
 
     /// Aggregate statistics: a snapshot of the front-end delivery stats with
@@ -434,7 +387,7 @@ impl<P: Clone> Network<P> {
     /// [`NetworkStats::fabric`].
     pub fn stats(&self) -> NetworkStats {
         let mut stats = self.stats.clone();
-        stats.fabric = *self.fabric.as_engine_ref().counters();
+        stats.fabric = *self.fabric.counters();
         stats
     }
 }
@@ -452,6 +405,7 @@ impl<P> fmt::Debug for Network<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::VirtualNetwork;
     use crate::topology::{Coord, Mesh};
     use crate::vms::VirtualMesh;
 
@@ -589,7 +543,7 @@ mod tests {
         assert!(net.stats().avg_latency() > 0.0);
         // The snapshot carries the fabric's event counters.
         let stats = net.stats();
-        assert_eq!(stats.fabric, *net.fabric.as_engine_ref().counters());
+        assert_eq!(stats.fabric, *net.fabric.counters());
         assert!(stats.fabric.ssr_broadcasts >= 4, "SMART fabric issues SSRs");
         assert!(stats.fabric.buffer_writes >= 4, "one write per injection");
     }

@@ -1,19 +1,24 @@
-//! The router core shared by all three fabric engines (conventional, SMART,
-//! high-radix): input-port buffers, the active-router set, link occupancy,
-//! round-robin arbiters, the phase-1 switch-allocation scan and the
-//! `next_event` head probe.
+//! The NoC fabric: one [`Fabric`] over the router core shared by all three
+//! router kinds (conventional, SMART, high-radix). [`RouterCore`] holds the
+//! input-port buffers, the active-router set, link occupancy, round-robin
+//! arbiters and the phase-1 switch-allocation scan; [`Fabric`] adds
+//! injection and the `next_event` head probe.
 //!
-//! An engine keeps only its policy: the reach of a route ([`RouteTable`]),
-//! an extra eligibility check for a head ([`SwitchPolicy::eligible`]) and
-//! what happens to the winners ([`FabricEngine::tick`]).
+//! A router kind keeps only its policy: the reach of a route
+//! ([`RouteTable`]), an extra eligibility check for a head
+//! ([`SwitchPolicy::eligible`]) and what happens to the winners (its
+//! traversal, run by [`Fabric::tick`]).
 //!
 //! A head's route depends only on the pair (router, destination), so it is
 //! computed once when the packet is pushed into a lane and cached with it;
 //! each lane also caches a copy of its front, so the per-cycle scan reads
 //! one flat array per router and never divides or follows a queue pointer.
 
-use crate::config::NocConfig;
+use crate::config::{NocConfig, RouterKind};
+use crate::conventional::ConventionalEngine;
+use crate::highradix::HighRadixEngine;
 use crate::message::VirtualNetwork;
+use crate::smart::SmartEngine;
 use crate::stats::FabricCounters;
 use crate::topology::{Coord, Direction, Mesh, NodeId};
 use std::collections::VecDeque;
@@ -380,21 +385,21 @@ impl LinkOccupancy {
     }
 }
 
-/// What an engine adds to the shared switch allocation.
+/// What a router kind adds to the shared switch allocation.
 pub trait SwitchPolicy {
-    /// Extra eligibility of a ready head at `node` whose output link is
-    /// free (e.g. downstream buffer space). `buffers` are every router's
-    /// buffers, indexed by node.
-    fn eligible(&self, _buffers: &[InputBuffers], _node: NodeId, _head: &Buffered) -> bool {
+    /// Extra eligibility of a ready head whose output link is free (e.g.
+    /// downstream buffer space). `buffers` are every router's buffers,
+    /// indexed by node.
+    fn eligible(&self, _buffers: &[InputBuffers], _head: &Buffered) -> bool {
         true
     }
 
     /// Records a winner: the head of `lane` at `node`. Called in (router,
-    /// direction) order; the head stays buffered until the engine pops it.
+    /// direction) order; the head stays buffered until the traversal pops it.
     fn grant(&mut self, node: NodeId, lane: usize, head: &Buffered);
 }
 
-/// Per-router state shared by every fabric engine.
+/// Per-router state shared by every router kind.
 #[derive(Debug)]
 pub struct RouterCore {
     /// Route computation for pushed packets.
@@ -428,11 +433,6 @@ impl RouterCore {
             in_flight: 0,
             counters: FabricCounters::default(),
         }
-    }
-
-    /// Number of packets inside the fabric.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
     }
 
     /// Buffers `flight` at `node`'s input `port`, routing it from there.
@@ -509,7 +509,7 @@ impl RouterCore {
                 let head = &bufs.heads[lane];
                 if head.ready_at <= now
                     && links.is_free(node, usize::from(head.route.link), now)
-                    && policy.eligible(buffers, node, head)
+                    && policy.eligible(buffers, head)
                 {
                     masks[head.route.dir.index()] |= 1 << lane;
                 }
@@ -521,32 +521,9 @@ impl RouterCore {
             }
         }
     }
-
-    /// The shared event-horizon probe: a head can move no earlier than when
-    /// it is switch-eligible and its output link is free. See
-    /// [`FabricEngine::next_event`].
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        for node_idx in self.active.iter() {
-            let node = NodeId(node_idx as u16);
-            let bufs = &self.buffers[node_idx];
-            for lane in set_bits(u64::from(bufs.occupied)) {
-                let head = &bufs.heads[lane];
-                let e = head
-                    .ready_at
-                    .max(self.links.free_at(node, usize::from(head.route.link)))
-                    .max(now);
-                if e == now {
-                    return Some(now);
-                }
-                next = Some(next.map_or(e, |n| n.min(e)));
-            }
-        }
-        next
-    }
 }
 
-/// Downstream back-pressure for the engines that buffer at every stop
+/// Downstream back-pressure for the router kinds that buffer at every stop
 /// (conventional, high-radix): a head is eligible only while its landing
 /// router's input lane has room, counting slots reserved by earlier winners
 /// this cycle. The winners are collected in `grants`.
@@ -591,7 +568,7 @@ impl Backpressure {
 }
 
 impl SwitchPolicy for Backpressure {
-    fn eligible(&self, buffers: &[InputBuffers], _node: NodeId, head: &Buffered) -> bool {
+    fn eligible(&self, buffers: &[InputBuffers], head: &Buffered) -> bool {
         let (at, l) = Self::slot(head);
         (self.exempt_dest && head.route.landing == head.flight.dest)
             || buffers[at].occupancy(l) + usize::from(self.reserved[at * LANES + l]) < self.capacity
@@ -606,44 +583,87 @@ impl SwitchPolicy for Backpressure {
     }
 }
 
-/// Common interface of the three fabric engines. The [`crate::Network`]
-/// front-end owns payloads and multicast expansion; engines only move
-/// [`FlightInfo`] descriptors. Everything but [`FabricEngine::tick`] is
-/// provided by the shared [`RouterCore`].
-pub trait FabricEngine {
-    /// The engine's router core.
-    fn core(&self) -> &RouterCore;
+/// The traversal state of the fabric's router kind.
+#[derive(Debug)]
+enum Engine {
+    Conventional(ConventionalEngine),
+    Smart(SmartEngine),
+    HighRadix(HighRadixEngine),
+}
 
-    /// The engine's router core, mutably.
-    fn core_mut(&mut self) -> &mut RouterCore;
+/// The NoC fabric: a [`RouterCore`] plus the traversal of its router kind.
+/// The [`crate::Network`] front-end owns payloads and multicast expansion;
+/// the fabric only moves [`FlightInfo`] descriptors.
+#[derive(Debug)]
+pub struct Fabric {
+    core: RouterCore,
+    engine: Engine,
+}
+
+impl Fabric {
+    /// Builds the fabric for `cfg`. The router kind fixes the reach of a
+    /// route and the link layout: one hop on the conventional mesh, up to
+    /// HPCmax hops on SMART and high-radix, and one express link per
+    /// (direction, span) on high-radix only.
+    pub fn new(cfg: &NocConfig) -> Self {
+        let (reach, express, engine) = match cfg.router {
+            RouterKind::Conventional => {
+                (1, false, Engine::Conventional(ConventionalEngine::new(cfg)))
+            }
+            // A SMART-hop covers the rest of the current dimension up to
+            // HPCmax (SMART-1D stops at the turn router).
+            RouterKind::Smart => (cfg.hpc_max, false, Engine::Smart(SmartEngine::new(cfg))),
+            RouterKind::HighRadix => (
+                cfg.hpc_max,
+                true,
+                Engine::HighRadix(HighRadixEngine::new(cfg)),
+            ),
+        };
+        Fabric {
+            core: RouterCore::new(cfg, reach, express),
+            engine,
+        }
+    }
 
     /// Advances the fabric by one cycle, appending packets that reached their
     /// segment destination to `arrivals`.
-    fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>);
+    pub fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>) {
+        // All fabric packets live in router buffers between ticks; an empty
+        // fabric has nothing to arbitrate and nothing to move.
+        if self.core.in_flight == 0 {
+            return;
+        }
+        let core = &mut self.core;
+        match &mut self.engine {
+            Engine::Conventional(e) => e.tick(core, now, arrivals),
+            Engine::Smart(e) => e.tick(core, now, arrivals),
+            Engine::HighRadix(e) => e.tick(core, now, arrivals),
+        }
+    }
 
     /// Whether the injection queue at `node` for `vn` can accept a packet.
-    fn can_accept(&self, node: NodeId, vn: VirtualNetwork) -> bool {
-        self.core().buffers[node.index()].has_space(lane(Direction::Local.index(), vn))
+    pub fn can_accept(&self, node: NodeId, vn: VirtualNetwork) -> bool {
+        self.core.buffers[node.index()].has_space(lane(Direction::Local.index(), vn))
     }
 
     /// Places a packet into the source router's local input port. The caller
-    /// must have checked [`FabricEngine::can_accept`].
+    /// must have checked [`Fabric::can_accept`].
     ///
     /// # Panics
     ///
     /// Panics if the packet is already at its destination.
-    fn inject(&mut self, flight: FlightInfo, now: u64) {
+    pub fn inject(&mut self, flight: FlightInfo, now: u64) {
         assert_ne!(
             flight.src, flight.dest,
             "a packet at its destination never enters the fabric"
         );
-        let core = self.core_mut();
-        core.push(flight.src, Direction::Local, flight, now + 1);
-        core.in_flight += 1;
+        self.core
+            .push(flight.src, Direction::Local, flight, now + 1);
+        self.core.in_flight += 1;
     }
 
     /// Event-horizon probe for event-driven simulation: the earliest cycle
-    /// `>= now` at which [`FabricEngine::tick`] *might* change fabric state,
+    /// `>= now` at which [`Fabric::tick`] *might* change fabric state,
     /// or `None` when the fabric is empty and can never act again on its
     /// own. It is computed per occupied (router, lane) head — the first
     /// cycle the head is switch-eligible *and* its requested output link is
@@ -663,13 +683,30 @@ pub trait FabricEngine {
     /// stress suite cross-checks it against naive per-cycle stepping, and
     /// it must never mutate state (the event-energy counters inherit the
     /// run/run_naive bit-identity from that rule).
-    fn next_event(&self, now: u64) -> Option<u64> {
-        self.core().next_event(now)
+    pub fn next_event(&self, now: u64) -> Option<u64> {
+        let core = &self.core;
+        let mut next: Option<u64> = None;
+        for node_idx in core.active.iter() {
+            let node = NodeId(node_idx as u16);
+            let bufs = &core.buffers[node_idx];
+            for lane in set_bits(u64::from(bufs.occupied)) {
+                let head = &bufs.heads[lane];
+                let e = head
+                    .ready_at
+                    .max(core.links.free_at(node, usize::from(head.route.link)))
+                    .max(now);
+                if e == now {
+                    return Some(now);
+                }
+                next = Some(next.map_or(e, |n| n.min(e)));
+            }
+        }
+        next
     }
 
     /// Number of packets currently inside the fabric.
-    fn in_flight(&self) -> usize {
-        self.core().in_flight()
+    pub fn in_flight(&self) -> usize {
+        self.core.in_flight
     }
 
     /// The micro-architectural event counters accumulated so far (buffer
@@ -678,14 +715,109 @@ pub trait FabricEngine {
     /// them from `inject`/`tick` (never from `next_event` or other read-only
     /// probes), which is what keeps them bit-identical between event-driven
     /// and naive execution.
-    fn counters(&self) -> &FabricCounters {
-        &self.core().counters
+    pub fn counters(&self) -> &FabricCounters {
+        &self.core.counters
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A single-packet flight from `src` to `dest`, injected at cycle 0.
+    pub(crate) fn flight(id: u32, src: u16, dest: u16, flits: u32) -> FlightInfo {
+        FlightInfo {
+            id: PacketId(id),
+            src: NodeId(src),
+            dest: NodeId(dest),
+            vn: VirtualNetwork::Request,
+            flits,
+            injected_at: 0,
+            stops: 0,
+        }
+    }
+
+    /// Ticks `fab` through cycles `0..cycles` and returns every arrival.
+    pub(crate) fn drain(fab: &mut Fabric, cycles: u64) -> Vec<Arrival> {
+        let mut arrivals = Vec::new();
+        for now in 0..cycles {
+            fab.tick(now, &mut arrivals);
+        }
+        arrivals
+    }
+
+    /// Walks a lone packet from `src` to `dest` on a fabric for `cfg`,
+    /// ticking only at the cycles `next_event` names, and checks that no
+    /// tick before the bound ever changes state and that the empty and the
+    /// drained fabric report no event. Returns the packet's arrival.
+    pub(crate) fn walk_lone_packet_by_next_event(cfg: NocConfig, src: u16, dest: u16) -> Arrival {
+        let mut fab = Fabric::new(&cfg);
+        assert_eq!(fab.next_event(0), None, "empty fabric has no events");
+        fab.inject(flight(1, src, dest, 1), 0);
+        // The injected head becomes switch-eligible at cycle 1.
+        assert_eq!(fab.next_event(0), Some(1));
+        let mut arrivals = Vec::new();
+        let mut now = 0;
+        while fab.in_flight() > 0 {
+            let e = fab.next_event(now).expect("packet in flight");
+            assert!(e >= now, "bound must not regress");
+            // Ticking strictly before the bound must be a no-op; the fabric
+            // asserts internally (active set, counters) and the packet must
+            // not arrive early.
+            for t in now..e {
+                fab.tick(t, &mut arrivals);
+                assert!(arrivals.is_empty(), "state changed before the bound");
+            }
+            fab.tick(e, &mut arrivals);
+            now = e + 1;
+            assert!(now < 100, "packet never arrived");
+        }
+        assert_eq!(arrivals.len(), 1);
+        assert_eq!(fab.next_event(now), None, "drained fabric is quiescent");
+        arrivals[0]
+    }
+
+    /// Injects `packets` as `(src, dest, flits)` at cycle 0 and ticks cycles
+    /// 0 and 1. The fabric then still holds every packet, yet `next_event`
+    /// must name a *future* horizon, and every tick before it must be a
+    /// no-op, counters included. Runs to completion and returns the
+    /// arrivals.
+    pub(crate) fn check_skip_window_under_partial_occupancy(
+        cfg: NocConfig,
+        packets: &[(u16, u16, u32)],
+    ) -> Vec<Arrival> {
+        let mut fab = Fabric::new(&cfg);
+        for (id, &(src, dest, flits)) in packets.iter().enumerate() {
+            fab.inject(flight(id as u32 + 1, src, dest, flits), 0);
+        }
+        let mut arrivals = Vec::new();
+        fab.tick(0, &mut arrivals);
+        fab.tick(1, &mut arrivals);
+        assert_eq!(
+            fab.in_flight(),
+            packets.len(),
+            "every packet still inside the fabric"
+        );
+        let e = fab.next_event(2).expect("packets in flight");
+        assert!(
+            e > 2,
+            "partial occupancy must yield a future horizon, got {e}"
+        );
+        let before = *fab.counters();
+        for t in 2..e {
+            fab.tick(t, &mut arrivals);
+            assert!(arrivals.is_empty(), "state changed before the bound");
+            assert_eq!(*fab.counters(), before, "counters moved in a dead cycle");
+        }
+        let mut now = e;
+        while fab.in_flight() > 0 {
+            fab.tick(now, &mut arrivals);
+            now += 1;
+            assert!(now < 200, "packets never arrived");
+        }
+        assert_eq!(arrivals.len(), packets.len());
+        arrivals
+    }
 
     fn buffered(id: u32) -> Buffered {
         Buffered {

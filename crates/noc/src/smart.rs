@@ -13,7 +13,7 @@
 //! the best-case latency is 2 cycles per SMART-hop (SSR, then ST+LT).
 
 use crate::config::NocConfig;
-use crate::router::{Arrival, Buffered, FabricEngine, RouteTable, RouterCore, SwitchPolicy};
+use crate::router::{Arrival, Buffered, RouteTable, RouterCore, SwitchPolicy};
 use crate::topology::{Direction, NodeId};
 
 /// A granted SMART Setup Request: the head of `lane` at `start` intends to
@@ -70,64 +70,39 @@ fn travel(
     }
 }
 
-/// The SMART-NoC fabric engine.
+/// The SMART traversal: per-tick scratch kept across ticks (the per-cycle
+/// tick is the simulator's hottest loop; steady state must not allocate).
 #[derive(Debug)]
-pub struct SmartFabric {
-    core: RouterCore,
-    // Persistent per-tick scratch (the per-cycle tick is the simulator's
-    // hottest loop; steady state must not allocate).
+pub(crate) struct SmartEngine {
     ssrs: SsrGrants,
     /// `started[node * 4 + dir]`: an SSR starts at `node` in `dir` this
     /// cycle; set and reset through the SSR list.
     started: Vec<bool>,
 }
 
-impl SmartFabric {
-    /// Builds the fabric for the given configuration.
-    pub fn new(cfg: NocConfig) -> Self {
-        SmartFabric {
-            // A SMART-hop covers the rest of the current dimension up to
-            // HPCmax (SMART-1D stops at the turn router); one link per
-            // direction.
-            core: RouterCore::new(&cfg, cfg.hpc_max, false),
+impl SmartEngine {
+    /// Builds the traversal state for the given configuration.
+    pub fn new(cfg: &NocConfig) -> Self {
+        SmartEngine {
             ssrs: SsrGrants::default(),
             started: vec![false; cfg.mesh.len() * 4],
         }
     }
 
-    /// Number of times a flit was stopped before completing its intended
-    /// SMART-hop because it lost SSR arbitration to a nearer flit.
-    pub fn premature_stops(&self) -> u64 {
-        self.core.counters.premature_stops
-    }
-}
-
-impl FabricEngine for SmartFabric {
-    fn core(&self) -> &RouterCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut RouterCore {
-        &mut self.core
-    }
-
-    fn tick(&mut self, now: u64, arrivals: &mut Vec<Arrival>) {
-        // All fabric packets live in router buffers between ticks; an empty
-        // fabric has nothing to arbitrate and nothing to move.
-        if self.core.in_flight() == 0 {
-            return;
-        }
-
+    /// Runs SSR arbitration and the single-cycle multi-hop traversal of this
+    /// cycle's winners, appending packets that reached their segment
+    /// destination to `arrivals`.
+    pub fn tick(&mut self, core: &mut RouterCore, now: u64, arrivals: &mut Vec<Arrival>) {
         // Phase 1 — local switch allocation + SSR generation. At each
         // router, for each output direction, at most one ready head packet
         // wins the switch and broadcasts an SSR of length
         // min(remaining-in-dimension, HPCmax). Each granted winner drives its
         // dedicated SSR wires that far this cycle, whatever phase 2 then
         // truncates the traversal to.
-        self.core.allocate(now, &mut self.ssrs);
+        core.allocate(now, &mut self.ssrs);
         let ssrs = &self.ssrs.0;
-        self.core.counters.ssr_broadcasts += ssrs.len() as u64;
-        self.core.counters.ssr_hops += ssrs.iter().map(|s| u64::from(s.want_hops)).sum::<u64>();
+        core.counters.ssr_broadcasts += ssrs.len() as u64;
+        core.counters.ssr_hops += ssrs.iter().map(|s| u64::from(s.want_hops)).sum::<u64>();
 
         // Phase 2 — SSR arbitration with nearer-flit priority: a flit
         // claiming the link out of its own router always beats a flit trying
@@ -148,9 +123,9 @@ impl FabricEngine for SmartFabric {
         // granted paths. The flit is latched at the stop router at the end of
         // the next cycle; every claimed link is held for the packet length.
         for ssr in ssrs {
-            let Buffered { flight, route, .. } = self.core.pop(ssr.start, ssr.lane);
+            let Buffered { flight, route, .. } = core.pop(ssr.start, ssr.lane);
             let flits = u64::from(flight.flits);
-            let RouterCore { routes, links, .. } = &mut self.core;
+            let RouterCore { routes, links, .. } = &mut *core;
             let (stop, hops) = travel(routes, &self.started, ssr, |node| {
                 links.occupy(node, usize::from(route.link), now + flits)
             });
@@ -158,14 +133,14 @@ impl FabricEngine for SmartFabric {
             // router, then the pre-set path crosses the crossbar of every
             // router it leaves (start + bypassed intermediates) and `hops`
             // links; only the stop router latches the flit.
-            let c = &mut self.core.counters;
+            let c = &mut core.counters;
             c.premature_stops += u64::from(hops < ssr.want_hops);
             c.crossbar_traversals += u64::from(hops);
             c.link_flit_hops += u64::from(hops) * flits;
             c.bypass_hops += u64::from(hops) - 1;
             c.stop_hops += 1;
             let arrival_cycle = now + 1 + (flits - 1);
-            self.core.land(
+            core.land(
                 flight,
                 stop,
                 ssr.dir.opposite(),
@@ -184,35 +159,17 @@ impl FabricEngine for SmartFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::VirtualNetwork;
     use crate::rng::SplitMix64;
-    use crate::router::{FlightInfo, PacketId};
+    use crate::router::tests::{
+        check_skip_window_under_partial_occupancy, drain, flight, walk_lone_packet_by_next_event,
+    };
+    use crate::router::{Fabric, PacketId};
     use crate::topology::Mesh;
-
-    fn flight(id: u32, src: u16, dest: u16, flits: u32) -> FlightInfo {
-        FlightInfo {
-            id: PacketId(id),
-            src: NodeId(src),
-            dest: NodeId(dest),
-            vn: VirtualNetwork::Request,
-            flits,
-            injected_at: 0,
-            stops: 0,
-        }
-    }
-
-    fn drain(fab: &mut SmartFabric, cycles: u64) -> Vec<Arrival> {
-        let mut arrivals = Vec::new();
-        for now in 0..cycles {
-            fab.tick(now, &mut arrivals);
-        }
-        arrivals
-    }
 
     #[test]
     fn single_smart_hop_covers_hpcmax_hops() {
         let cfg = NocConfig::smart_mesh(8, 8, 4);
-        let mut fab = SmartFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         // 4 hops east: one SMART-hop, ~2-3 cycles total.
         fab.inject(flight(1, 0, 4, 1), 0);
         let arr = drain(&mut fab, 20);
@@ -227,7 +184,7 @@ mod tests {
         // Section 2: 14 hops on 8x8 with HPCmax=4 is 4 SMART-hops = 8 cycles
         // best case.
         let cfg = NocConfig::smart_mesh(8, 8, 4);
-        let mut fab = SmartFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         fab.inject(flight(1, 0, 63, 1), 0);
         let arr = drain(&mut fab, 40);
         assert_eq!(arr.len(), 1);
@@ -238,26 +195,19 @@ mod tests {
 
     #[test]
     fn smart_beats_conventional_on_long_paths() {
-        use crate::conventional::ConventionalFabric;
-        let smart_cfg = NocConfig::smart_mesh(8, 8, 4);
-        let conv_cfg = NocConfig::conventional_mesh(8, 8);
-        let mut smart = SmartFabric::new(smart_cfg);
-        let mut conv = ConventionalFabric::new(conv_cfg);
+        let mut smart = Fabric::new(&NocConfig::smart_mesh(8, 8, 4));
+        let mut conv = Fabric::new(&NocConfig::conventional_mesh(8, 8));
         smart.inject(flight(1, 0, 63, 1), 0);
         conv.inject(flight(1, 0, 63, 1), 0);
         let s = drain(&mut smart, 100)[0].now;
-        let mut arrivals = Vec::new();
-        for now in 0..100 {
-            conv.tick(now, &mut arrivals);
-        }
-        let c = arrivals[0].now;
+        let c = drain(&mut conv, 100)[0].now;
         assert!(s * 2 <= c, "smart {s} vs conventional {c}");
     }
 
     #[test]
     fn turning_flit_takes_two_smart_hops() {
         let cfg = NocConfig::smart_mesh(8, 8, 4);
-        let mut fab = SmartFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         // 3 hops east + 3 hops north: SMART-1D forces a stop at the turn.
         let dest = 8 * 3 + 3;
         fab.inject(flight(1, 0, dest, 1), 0);
@@ -274,7 +224,7 @@ mod tests {
         // flit B injected at router 1 also going east. B is "nearer" to
         // router 1's output link, so A must stop prematurely at router 1.
         let cfg = NocConfig::smart_mesh(8, 1, 4);
-        let mut fab = SmartFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         fab.inject(flight(1, 0, 6, 1), 0); // A: wants 0 -> 4 in one SMART-hop
         fab.inject(flight(2, 1, 6, 1), 0); // B: local at router 1
         let arr = drain(&mut fab, 40);
@@ -283,71 +233,29 @@ mod tests {
         let b = arr.iter().find(|a| a.flight.id == PacketId(2)).unwrap();
         // A is delayed relative to running alone (which would be ~4 cycles).
         assert!(a.now > b.now || a.flight.stops > 2, "a {a:?} b {b:?}");
-        assert!(fab.premature_stops() >= 1);
+        assert!(fab.counters().premature_stops >= 1);
     }
 
     #[test]
     fn next_event_bounds_every_state_change_from_below() {
-        let cfg = NocConfig::smart_mesh(8, 8, 4);
-        let mut fab = SmartFabric::new(cfg);
-        assert_eq!(fab.next_event(0), None, "empty fabric has no events");
         // Corner to corner: 4 SMART-hops with stops at intermediate routers.
-        fab.inject(flight(1, 0, 63, 1), 0);
-        assert_eq!(fab.next_event(0), Some(1));
-        let mut arrivals = Vec::new();
-        let mut now = 0;
-        while fab.in_flight() > 0 {
-            let e = fab.next_event(now).expect("packet in flight");
-            assert!(e >= now, "bound must not regress");
-            for t in now..e {
-                fab.tick(t, &mut arrivals);
-                assert!(arrivals.is_empty(), "state changed before the bound");
-            }
-            fab.tick(e, &mut arrivals);
-            now = e + 1;
-            assert!(now < 100, "packet never arrived");
-        }
-        assert_eq!(arrivals.len(), 1);
-        assert_eq!(arrivals[0].flight.stops, 4);
-        assert_eq!(fab.next_event(now), None, "drained fabric is quiescent");
+        let arrival = walk_lone_packet_by_next_event(NocConfig::smart_mesh(8, 8, 4), 0, 63);
+        assert_eq!(arrival.flight.stops, 4);
     }
 
     #[test]
     fn next_event_opens_a_skip_window_under_partial_occupancy() {
         // Two 4-flit packets from the same router: the SSR winner holds the
         // claimed links for the full packet length, so the loser's head sees
-        // a future (ready, link-free) cycle. The fabric is occupied the
-        // whole time, yet the probe must report a skippable window and every
-        // tick inside it must be a no-op (counters included).
+        // a future (ready, link-free) cycle.
         let cfg = NocConfig::smart_mesh(8, 1, 4);
-        let mut fab = SmartFabric::new(cfg);
-        fab.inject(flight(1, 0, 7, 4), 0);
-        fab.inject(flight(2, 0, 7, 4), 0);
-        let mut arrivals = Vec::new();
-        fab.tick(0, &mut arrivals);
-        fab.tick(1, &mut arrivals); // winner launches its SMART-hop
-        assert_eq!(fab.in_flight(), 2, "both packets still inside the fabric");
-        let e = fab.next_event(2).expect("packets in flight");
-        assert!(e > 2, "partial occupancy must yield a future horizon, got {e}");
-        let before = *fab.counters();
-        for t in 2..e {
-            fab.tick(t, &mut arrivals);
-            assert!(arrivals.is_empty(), "state changed before the bound");
-            assert_eq!(*fab.counters(), before, "counters moved in a dead cycle");
-        }
-        let mut now = e;
-        while fab.in_flight() > 0 {
-            fab.tick(now, &mut arrivals);
-            now += 1;
-            assert!(now < 200, "packets never arrived");
-        }
-        assert_eq!(arrivals.len(), 2);
+        check_skip_window_under_partial_occupancy(cfg, &[(0, 7, 4), (0, 7, 4)]);
     }
 
     #[test]
     fn event_counters_split_bypass_and_stop_hops() {
         let cfg = NocConfig::smart_mesh(8, 8, 4);
-        let mut fab = SmartFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         // 4 hops east in one SMART-hop: 3 routers bypassed, 1 latch at the
         // destination.
         fab.inject(flight(1, 0, 4, 1), 0);
@@ -368,7 +276,7 @@ mod tests {
     #[test]
     fn buffer_writes_counted_only_at_stops() {
         let cfg = NocConfig::smart_mesh(8, 8, 4);
-        let mut fab = SmartFabric::new(cfg);
+        let mut fab = Fabric::new(&cfg);
         fab.inject(flight(1, 0, 4, 1), 0);
         drain(&mut fab, 20);
         // One injection write, no intermediate stop writes (the single

@@ -282,28 +282,6 @@ impl Mesh {
         }
     }
 
-    /// Full XY route (sequence of directions) from `from` to `to`.
-    pub fn xy_route(self, from: NodeId, to: NodeId) -> Vec<Direction> {
-        let mut route = Vec::new();
-        let f = self.coord(from);
-        let t = self.coord(to);
-        for _ in 0..f.x.abs_diff(t.x) {
-            route.push(if t.x > f.x {
-                Direction::East
-            } else {
-                Direction::West
-            });
-        }
-        for _ in 0..f.y.abs_diff(t.y) {
-            route.push(if t.y > f.y {
-                Direction::North
-            } else {
-                Direction::South
-            });
-        }
-        route
-    }
-
     /// The node reached by starting at `from` and moving `steps` hops in
     /// direction `dir`, clamped to the mesh edge.
     pub fn advance(self, from: NodeId, dir: Direction, steps: u16) -> NodeId {
@@ -316,24 +294,6 @@ impl Mesh {
             Direction::Local => c,
         };
         self.node_at(c)
-    }
-
-    /// Nodes on the straight segment starting one hop after `from` in
-    /// direction `dir`, up to and including `steps` hops away (clamped at the
-    /// mesh edge).
-    pub fn segment(self, from: NodeId, dir: Direction, steps: u16) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = from;
-        for _ in 0..steps {
-            match self.neighbor(cur, dir) {
-                Some(n) => {
-                    out.push(n);
-                    cur = n;
-                }
-                None => break,
-            }
-        }
-        out
     }
 }
 
@@ -386,41 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn xy_route_is_x_then_y() {
-        let m = Mesh::new(8, 8);
-        let a = m.node_at(Coord::new(1, 1));
-        let b = m.node_at(Coord::new(4, 3));
-        let route = m.xy_route(a, b);
-        assert_eq!(
-            route,
-            vec![
-                Direction::East,
-                Direction::East,
-                Direction::East,
-                Direction::North,
-                Direction::North
-            ]
-        );
-    }
-
-    #[test]
     fn advance_clamps_at_edge() {
         let m = Mesh::new(4, 4);
         let a = m.node_at(Coord::new(2, 2));
         assert_eq!(m.advance(a, Direction::East, 5), m.node_at(Coord::new(3, 2)));
         assert_eq!(m.advance(a, Direction::South, 10), m.node_at(Coord::new(2, 0)));
         assert_eq!(m.advance(a, Direction::Local, 3), a);
-    }
-
-    #[test]
-    fn segment_stops_at_edge() {
-        let m = Mesh::new(4, 4);
-        let a = m.node_at(Coord::new(1, 0));
-        let seg = m.segment(a, Direction::East, 4);
-        assert_eq!(
-            seg,
-            vec![m.node_at(Coord::new(2, 0)), m.node_at(Coord::new(3, 0))]
-        );
     }
 
     #[test]

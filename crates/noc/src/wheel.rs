@@ -10,7 +10,7 @@
 //!
 //! # Layout
 //!
-//! * A ring of [`SPAN`] FIFO buckets holds the items due in
+//! * A ring of `SPAN` (64) FIFO buckets holds the items due in
 //!   `base..base + SPAN`, where `base` is the first cycle not drained yet;
 //!   bucket `ready % SPAN` holds exactly the items due at `ready`. A bitmask
 //!   marks the non-empty buckets, so finding the earliest one is one rotate

@@ -142,7 +142,7 @@ mod tests {
         assert_eq!(c.hpc_max, 4);
         assert_eq!(c.memory_map().controllers().len(), 4);
         let noc = c.noc_config();
-        assert_eq!(noc.virtual_networks, 5);
+        assert_eq!(loco_noc::VirtualNetwork::ALL.len(), 5);
         assert_eq!(noc.vcs_per_vn, 4);
         assert_eq!(noc.link_bytes, 16);
     }

@@ -33,8 +33,8 @@
 //! * **Network** — `Network::next_event` names the earliest cycle at which
 //!   a network tick can change state *even under partial occupancy*: it
 //!   folds the earliest queued arrival (multi-flit releases,
-//!   high-radix pipeline exits) with the fabric engine's per-head probe
-//!   (`FabricEngine::next_event`), which scans every occupied (router,
+//!   high-radix pipeline exits) with the fabric's per-head probe
+//!   (`Fabric::next_event`), which scans every occupied (router,
 //!   lane) head for the first cycle it is both switch-eligible
 //!   (`ready_at`) and sees its requested output link free. The probes are
 //!   conservative from below: they may name a cycle at which arbitration
@@ -67,8 +67,7 @@ use loco_cache::{
     MsgKind, Organization, Outgoing, ProtocolMsg, ResponseSource, Unit,
 };
 use loco_noc::{
-    Delivered, Destination, FxHashMap, FxHashSet, MulticastGroupId, NetMessage, Network, NodeId,
-    TimingWheel,
+    Delivered, Destination, MulticastGroupId, NetMessage, Network, NodeId, TimingWheel,
 };
 use loco_workloads::CoreTrace;
 use std::collections::VecDeque;
@@ -77,25 +76,70 @@ use std::collections::VecDeque;
 /// injected into the network at the given node.
 type Pending = (NodeId, ProtocolMsg);
 
-#[derive(Debug, Default)]
+/// Barrier arrivals as one bitset over the cores per barrier group. A group
+/// has at most one open barrier: it releases every member in the step it
+/// completes, so no member can reach the group's next barrier before then.
+#[derive(Debug)]
 struct BarrierTracker {
-    group_sizes: FxHashMap<usize, usize>,
-    arrivals: FxHashMap<(usize, u32), FxHashSet<usize>>,
+    /// Dense group index of each core.
+    group_of: Vec<usize>,
+    /// Per group: the members a barrier waits for (cores with a non-empty
+    /// trace), the open barrier's id and the members arrived at it so far.
+    open: Vec<(usize, u32, usize)>,
+    /// `words` words per group: bit `i` set iff core `i` arrived.
+    arrived: Vec<u64>,
+    words: usize,
 }
 
 impl BarrierTracker {
-    /// Registers an arrival; returns `true` if the barrier is now complete.
-    fn arrive(&mut self, group: usize, id: u32, core: usize) -> bool {
-        let set = self.arrivals.entry((group, id)).or_default();
-        set.insert(core);
-        set.len() >= self.group_sizes.get(&group).copied().unwrap_or(usize::MAX)
+    /// A tracker for the cores of `groups` (one group id per core); a
+    /// barrier waits for the cores `i` with `member(i)`.
+    fn new(groups: &[usize], member: impl Fn(usize) -> bool) -> Self {
+        let mut ids = groups.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        let group_of: Vec<usize> = groups
+            .iter()
+            .map(|g| ids.binary_search(g).expect("every group id is listed"))
+            .collect();
+        let mut open = vec![(0, 0, 0); ids.len()];
+        for (core, &g) in group_of.iter().enumerate() {
+            open[g].0 += usize::from(member(core));
+        }
+        let words = groups.len().div_ceil(64);
+        BarrierTracker {
+            group_of,
+            open,
+            arrived: vec![0; ids.len() * words],
+            words,
+        }
     }
 
-    fn release(&mut self, group: usize, id: u32) -> Vec<usize> {
-        self.arrivals
-            .remove(&(group, id))
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default()
+    /// Registers `core`'s arrival at barrier `id`; returns the core's group
+    /// if that barrier is now complete.
+    fn arrive(&mut self, core: usize, id: u32) -> Option<usize> {
+        let g = self.group_of[core];
+        let (size, open_id, arrived) = &mut self.open[g];
+        debug_assert!(*arrived == 0 || *open_id == id, "two open barriers in group {g}");
+        *open_id = id;
+        let (word, bit) = (&mut self.arrived[g * self.words + core / 64], 1 << (core % 64));
+        *arrived += usize::from(*word & bit == 0);
+        *word |= bit;
+        (*arrived >= *size).then_some(g)
+    }
+
+    /// Closes group `g`'s open barrier, calling `wake` with every core that
+    /// arrived at it, in ascending core order.
+    fn release(&mut self, g: usize, mut wake: impl FnMut(usize)) {
+        self.open[g].2 = 0;
+        let words = &mut self.arrived[g * self.words..(g + 1) * self.words];
+        for (w, word) in words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                wake(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -135,7 +179,8 @@ pub struct CmpSystem {
     outgoing_scratch: Vec<Outgoing>,
     due_scratch: Vec<Pending>,
     delivery_scratch: Vec<Delivered<ProtocolMsg>>,
-    barrier_scratch: Vec<(usize, u32)>,
+    /// Groups whose barrier completed this step.
+    barrier_scratch: Vec<usize>,
     /// Bitset mirror of `CoreModel::needs_tick` per core, maintained at
     /// every transition (after a tick, on fill, on barrier release). The
     /// per-cycle core loop walks set bits instead of probing every core, and
@@ -198,12 +243,7 @@ impl CmpSystem {
             })
             .collect();
 
-        let mut barriers = BarrierTracker::default();
-        for (i, g) in groups.iter().enumerate() {
-            if !traces[i].is_empty() {
-                *barriers.group_sizes.entry(*g).or_insert(0) += 1;
-            }
-        }
+        let barriers = BarrierTracker::new(&groups, |i| !traces[i].is_empty());
 
         let cores: Vec<CoreModel> = traces
             .into_iter()
@@ -224,7 +264,7 @@ impl CmpSystem {
         }
         let dirs = ctrl_nodes
             .iter()
-            .map(|&n| DirectoryController::new(n, cfg.dir, org))
+            .map(|&n| DirectoryController::new(n, cfg.dir))
             .collect();
         let mems = ctrl_nodes
             .iter()
@@ -357,7 +397,7 @@ impl CmpSystem {
             Unit::L2 => self.l2s[idx].handle(msg, self.now, out),
             Unit::Dir => {
                 let c = self.controller_at(node);
-                self.dirs[c].handle(msg, self.now, out);
+                self.dirs[c].handle(msg, out);
             }
             Unit::Mem => {
                 let c = self.controller_at(node);
@@ -390,9 +430,8 @@ impl CmpSystem {
                 bits &= bits - 1;
                 let status = self.cores[i].tick(now, &mut self.l1s[i], &mut out, model_barriers);
                 if let CoreStatus::AtBarrier(id) = status {
-                    let group = self.cores[i].group();
-                    if self.barriers.arrive(group, id, i) {
-                        completed_barriers.push((group, id));
+                    if let Some(group) = self.barriers.arrive(i, id) {
+                        completed_barriers.push(group);
                     }
                 }
                 if !self.cores[i].needs_tick() {
@@ -408,14 +447,11 @@ impl CmpSystem {
                 }
             }
         }
-        for (group, id) in completed_barriers.drain(..) {
-            for core_idx in self.barriers.release(group, id) {
+        for group in completed_barriers.drain(..) {
+            self.barriers.release(group, |core_idx| {
                 self.cores[core_idx].on_barrier_release();
                 self.runnable[core_idx / 64] |= 1 << (core_idx % 64);
-            }
-            // Also release any cores of the group that arrive exactly now
-            // (handled next cycle through the tracker being empty is fine:
-            // they re-register and form the next barrier instance).
+            });
         }
         self.barrier_scratch = completed_barriers;
 
@@ -658,6 +694,26 @@ mod tests {
     fn small_traces(mem_ops: u64, cores: usize) -> Vec<CoreTrace> {
         let spec = Benchmark::Lu.spec();
         TraceGenerator::new(7).generate(&spec, cores, mem_ops)
+    }
+
+    #[test]
+    fn barrier_tracker_releases_a_group_in_ascending_core_order() {
+        // Group 7 spans two bitset words; core 1 is alone in group 3; the
+        // other cores have no trace and never arrive.
+        let mut groups = vec![usize::MAX; 71];
+        for (core, g) in [(70, 7), (1, 3), (2, 7), (0, 7)] {
+            groups[core] = g;
+        }
+        let mut t = BarrierTracker::new(&groups, |i| groups[i] != usize::MAX);
+        assert_eq!(t.arrive(70, 5), None);
+        assert_eq!(t.arrive(2, 5), None);
+        assert_eq!(t.arrive(2, 5), None, "a repeated arrival counts once");
+        assert_eq!(t.arrive(1, 9), Some(0), "group 3 is dense group 0");
+        assert_eq!(t.arrive(0, 5), Some(1));
+        let mut woken = Vec::new();
+        t.release(1, |core| woken.push(core));
+        assert_eq!(woken, vec![0, 2, 70]);
+        assert_eq!(t.arrive(2, 6), None, "the next barrier starts empty");
     }
 
     #[test]

@@ -15,6 +15,9 @@ cargo test -q --offline
 echo "==> cargo test --doc"
 cargo test --doc -q --offline
 
+echo "==> cargo doc (rustdoc warnings, broken intra-doc links included, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo build --workspace --all-targets (tests, examples, reproduce)"
 cargo build --workspace --all-targets --offline
 

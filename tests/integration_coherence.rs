@@ -41,7 +41,7 @@ impl Testbench {
             dirs: memmap
                 .controllers()
                 .iter()
-                .map(|&c| (c, DirectoryController::new(c, DirectoryConfig::default(), org)))
+                .map(|&c| (c, DirectoryController::new(c, DirectoryConfig::default())))
                 .collect(),
             mems: memmap
                 .controllers()
@@ -121,7 +121,7 @@ impl Testbench {
                         .find(|(n, _)| *n == node)
                         .expect("directory node")
                         .1
-                        .handle(msg, self.time, &mut out);
+                        .handle(msg, &mut out);
                 }
                 Unit::Mem => {
                     self.mems
