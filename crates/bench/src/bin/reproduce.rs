@@ -84,9 +84,10 @@ fn parse_figure(token: &str) -> u32 {
 
 /// `--list-figures`: every known figure id + title at the requested scale.
 fn list_figures(scale: Scale) -> ! {
+    let params = scale.params();
     for n in FIGURE_NUMBERS {
         let spec = figure_spec(scale, n, None).expect("range is exhaustive");
-        println!("fig{:02}  {}", spec.number(), spec.title());
+        println!("fig{:02}  {}", spec.number(), spec.title(&params));
     }
     std::process::exit(0);
 }

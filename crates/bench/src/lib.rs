@@ -168,7 +168,7 @@ mod tests {
         assert_eq!(specs.len(), 14);
         for (spec, number) in specs.iter().zip(FIGURE_NUMBERS) {
             assert_eq!(spec.number(), number);
-            assert!(!spec.title().is_empty());
+            assert!(!spec.title(&Scale::Quick.params()).is_empty());
         }
         assert!(figure_spec(Scale::Quick, 5, None).is_none());
         assert!(figure_spec(Scale::Quick, 20, None).is_none());

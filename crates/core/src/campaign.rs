@@ -23,6 +23,10 @@
 //!    from an 8-thread execution are byte-identical to a 1-thread one
 //!    (locked in by `tests/campaign.rs` and the `scripts/verify.sh` smoke).
 //!
+//! Figures are data: a new figure is one `panel` declaration per panel
+//! (id, title, y label, x axis, series and the value at each point), and
+//! its title lives only there — [`FigureSpec::title`] reads it back.
+//!
 //! A scenario that exhausts its cycle budget is not a valid data point:
 //! [`ResultSet::incomplete`] names every such run, and `reproduce` refuses
 //! to emit figures while any exist.
@@ -176,7 +180,9 @@ pub fn run_scenario(params: &ExperimentParams, scenario: Scenario) -> SimResults
         Scenario::MultiProgram { workload, org } => {
             run_multiprogram_workload(params, &MultiProgramWorkload::table2_entry(workload), org)
         }
-        Scenario::StallStress { kind, router } => run_stall_stress(params, kind, router),
+        Scenario::StallStress { kind, router } => {
+            stall_stress_system(params, kind, router).run(params.max_cycles)
+        }
     }
 }
 
@@ -215,11 +221,6 @@ pub fn stall_stress_system(
         .with_barriers(full_system)
         .generate(&spec, cfg.num_cores(), params.mem_ops_per_core);
     CmpSystem::new(cfg, traces)
-}
-
-/// Runs one stall-heavy stress scenario (see [`stall_stress_system`]).
-pub fn run_stall_stress(params: &ExperimentParams, kind: StressKind, router: RouterKind) -> SimResults {
-    stall_stress_system(params, kind, router).run(params.max_cycles)
 }
 
 /// Runs one multi-program workload under one organization. The cluster size
@@ -605,9 +606,6 @@ pub enum FigureSpec {
     Fig19Stall,
 }
 
-/// The three router kinds of the NoC-comparison figures, in paper order.
-const NOC_SWEEP: [RouterKind; 3] = [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix];
-
 /// The organizations of the energy-breakdown figure, in paper order.
 const ENERGY_ORGS: [OrganizationKind; 5] = [
     OrganizationKind::Private,
@@ -616,6 +614,24 @@ const ENERGY_ORGS: [OrganizationKind; 5] = [
     OrganizationKind::LocoCcVms,
     OrganizationKind::LocoCcVmsIvr,
 ];
+
+/// One panel, headed by its id, title and y-axis label: `value(series, x)`
+/// for every series at every x, then an `AVG` column.
+fn panel<X: Copy, S: Copy>(
+    (id, title, y_label): (String, &str, &str),
+    xs: &[(String, X)],
+    series: &[(String, S)],
+    value: impl Fn(S, X) -> f64,
+) -> Figure {
+    let mut fig = Figure::new(id, title, y_label);
+    fig.x_labels = xs.iter().map(|(label, _)| label.clone()).collect();
+    for (label, s) in series {
+        let values = xs.iter().map(|&(_, x)| value(*s, x)).collect();
+        fig.push_series(Series::new(label.clone(), values));
+    }
+    fig.push_average_column();
+    fig
+}
 
 impl FigureSpec {
     /// The figure number (6–16 mirror the paper; 17–18 are the energy
@@ -639,27 +655,14 @@ impl FigureSpec {
         }
     }
 
-    /// A short human-readable title (what `reproduce --list-figures`
-    /// prints).
-    pub fn title(&self) -> &'static str {
-        match self {
-            FigureSpec::Fig06 { .. } => "Normalized runtime of private vs. shared caches",
-            FigureSpec::Fig07 { .. } => "Increase of L2 access latency over Private Cache",
-            FigureSpec::Fig08 { .. } => "L2 cache misses per 1000 instructions",
-            FigureSpec::Fig09 { .. } => "Global search delay for data cached on-chip",
-            FigureSpec::Fig10 { .. } => "Normalized off-chip memory accesses",
-            FigureSpec::Fig11 { .. } => "Normalized runtimes of LOCO against Shared Cache",
-            FigureSpec::Fig12 { .. } => "LOCO L2 hit latency and search delay under alternative NoCs",
-            FigureSpec::Fig13 { .. } => "LOCO runtime under alternative NoCs",
-            FigureSpec::Fig14 { .. } => "LOCO by cluster size (latency, MPKI, search delay, runtime)",
-            FigureSpec::Fig15 { .. } => "Multi-program workloads (off-chip accesses, runtime)",
-            FigureSpec::Fig16 { .. } => "Full-system simulation (MPKI, runtime)",
-            FigureSpec::Fig17Energy { .. } => {
-                "Energy per instruction and breakdown by cache organization"
-            }
-            FigureSpec::Fig18Edp { .. } => "Energy-delay product by cluster size",
-            FigureSpec::Fig19Stall => "Stall-heavy stress workloads (barrier/DRAM-bound) under alternative NoCs",
-        }
+    /// The figure's title, as `reproduce --list-figures` prints it: the
+    /// titles of its panels joined with `" / "`. It is read off the figure
+    /// built over blank results, so each title is written once, in the
+    /// panel that draws it.
+    pub fn title(&self, params: &ExperimentParams) -> String {
+        let blank = SimResults::default();
+        let panels = self.build(params, &|_| &blank);
+        panels.iter().map(|f| f.title.as_str()).collect::<Vec<_>>().join(" / ")
     }
 
     /// Every scenario this figure reads — the pure *plan* pass. It is not a
@@ -690,7 +693,9 @@ impl FigureSpec {
     }
 
     /// The one body behind both passes: builds the figure(s), reading every
-    /// scenario through `get`.
+    /// scenario through `get`. Each figure is its `panel` declarations (the
+    /// fig17b subsystem breakdown, which has no `AVG` column, is written
+    /// out).
     ///
     /// The plan is whatever this code reads, so it must read the same
     /// scenarios whatever the values are: no read may depend on the value
@@ -702,353 +707,236 @@ impl FigureSpec {
         params: &ExperimentParams,
         get: &dyn Fn(&Scenario) -> &'r SimResults,
     ) -> Vec<Figure> {
-        let get_default =
-            |b: Benchmark, org: OrganizationKind| get(&Scenario::default_trace(params, b, org));
-        let bench_labels =
-            |benchmarks: &[Benchmark]| benchmarks.iter().map(|b| b.name().to_string()).collect();
+        use OrganizationKind::{LocoCc, LocoCcVms, LocoCcVmsIvr, Private, Shared};
+        let p = params.label();
+        let trace = |benchmark, org, router, cluster, full_system| {
+            get(&Scenario::Trace {
+                benchmark,
+                org,
+                router,
+                cluster,
+                full_system,
+            })
+        };
+        let at = |b, org| get(&Scenario::default_trace(params, b, org));
+        let loco = |b, router, cluster| trace(b, LocoCcVmsIvr, router, cluster, false);
+        let over_private = |r: &SimResults, b| {
+            (r.avg_l2_hit_latency - at(b, Private).avg_l2_hit_latency).max(0.0)
+        };
+        let bench = |bs: &[Benchmark]| -> Vec<(String, Benchmark)> {
+            bs.iter().map(|&b| (b.name().to_string(), b)).collect()
+        };
+        let orgs = |os: &[OrganizationKind]| -> Vec<(String, OrganizationKind)> {
+            os.iter().map(|&o| (o.label().to_string(), o)).collect()
+        };
+        // The three NoCs of the comparison figures, in paper order.
+        let nocs = [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix]
+            .map(|r| (format!("LOCO + {}", r.label()), r));
+        let by_shape = |shapes: &[ClusterShape]| -> Vec<(String, ClusterShape)> {
+            shapes.iter().map(|&s| (format!("Cluster Size:{}x{}", s.w, s.h), s)).collect()
+        };
         match self {
-            FigureSpec::Fig06 { benchmarks } => {
-                let mut fig = Figure::new(
-                    "fig06",
+            FigureSpec::Fig06 { benchmarks } => vec![panel(
+                (
+                    "fig06".into(),
                     "Normalized runtime of private caches vs. shared caches",
                     "runtime normalized to Shared Cache",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let mut private = Vec::new();
-                for &b in benchmarks {
-                    let shared = get_default(b, OrganizationKind::Shared);
-                    let priv_r = get_default(b, OrganizationKind::Private);
-                    private.push(priv_r.runtime_normalized_to(shared));
-                }
-                fig.push_series(Series::new("Private Cache", private));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig07 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig07-{}", params.label()),
+                ),
+                &bench(benchmarks),
+                &orgs(&[Private]),
+                |o, b| at(b, o).runtime_normalized_to(at(b, Shared)),
+            )],
+            FigureSpec::Fig07 { benchmarks } => vec![panel(
+                (
+                    format!("fig07-{p}"),
                     "Increase of L2 access latency over Private Cache",
                     "cycles",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let (mut shared_v, mut loco_v) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    let private = get_default(b, OrganizationKind::Private);
-                    let shared = get_default(b, OrganizationKind::Shared);
-                    let loco = get_default(b, OrganizationKind::LocoCcVmsIvr);
-                    shared_v.push((shared.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0));
-                    loco_v.push((loco.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0));
-                }
-                fig.push_series(Series::new("Shared Cache", shared_v));
-                fig.push_series(Series::new("LOCO", loco_v));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig08 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig08-{}", params.label()),
-                    "L2 cache misses per 1000 instructions",
-                    "MPKI",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let (mut shared_v, mut loco_v) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    shared_v.push(get_default(b, OrganizationKind::Shared).l2_mpki);
-                    loco_v.push(get_default(b, OrganizationKind::LocoCcVmsIvr).l2_mpki);
-                }
-                fig.push_series(Series::new("Shared Cache", shared_v));
-                fig.push_series(Series::new("LOCO", loco_v));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig09 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig09-{}", params.label()),
-                    "Global search delay for data cached on-chip",
-                    "cycles",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let (mut cc, mut vms) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    cc.push(get_default(b, OrganizationKind::LocoCc).avg_search_delay);
-                    vms.push(get_default(b, OrganizationKind::LocoCcVms).avg_search_delay);
-                }
-                fig.push_series(Series::new("LOCO CC", cc));
-                fig.push_series(Series::new("LOCO CC+VMS", vms));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig10 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig10-{}", params.label()),
+                ),
+                &bench(benchmarks),
+                &[("Shared Cache".into(), Shared), ("LOCO".into(), LocoCcVmsIvr)],
+                |o, b| over_private(at(b, o), b),
+            )],
+            FigureSpec::Fig08 { benchmarks } => vec![panel(
+                (format!("fig08-{p}"), "L2 cache misses per 1000 instructions", "MPKI"),
+                &bench(benchmarks),
+                &[("Shared Cache".into(), Shared), ("LOCO".into(), LocoCcVmsIvr)],
+                |o, b| at(b, o).l2_mpki,
+            )],
+            FigureSpec::Fig09 { benchmarks } => vec![panel(
+                (format!("fig09-{p}"), "Global search delay for data cached on-chip", "cycles"),
+                &bench(benchmarks),
+                &orgs(&[LocoCc, LocoCcVms]),
+                |o, b| at(b, o).avg_search_delay,
+            )],
+            FigureSpec::Fig10 { benchmarks } => vec![panel(
+                (
+                    format!("fig10-{p}"),
                     "Normalized off-chip memory accesses",
                     "normalized to Shared Cache",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let (mut vms, mut ivr) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    let shared = get_default(b, OrganizationKind::Shared);
-                    vms.push(get_default(b, OrganizationKind::LocoCcVms).offchip_normalized_to(shared));
-                    ivr.push(
-                        get_default(b, OrganizationKind::LocoCcVmsIvr).offchip_normalized_to(shared),
-                    );
-                }
-                fig.push_series(Series::new("LOCO CC+VMS", vms));
-                fig.push_series(Series::new("LOCO CC+VMS+IVR", ivr));
-                fig.push_average_column();
-                vec![fig]
-            }
-            FigureSpec::Fig11 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig11-{}", params.label()),
+                ),
+                &bench(benchmarks),
+                &orgs(&[LocoCcVms, LocoCcVmsIvr]),
+                |o, b| at(b, o).offchip_normalized_to(at(b, Shared)),
+            )],
+            FigureSpec::Fig11 { benchmarks } => vec![panel(
+                (
+                    format!("fig11-{p}"),
                     "Normalized runtimes of LOCO against baseline Shared Cache",
                     "runtime normalized to Shared Cache",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                let mut series: Vec<(OrganizationKind, Vec<f64>)> = vec![
-                    (OrganizationKind::Shared, Vec::new()),
-                    (OrganizationKind::LocoCc, Vec::new()),
-                    (OrganizationKind::LocoCcVms, Vec::new()),
-                    (OrganizationKind::LocoCcVmsIvr, Vec::new()),
-                ];
-                for &b in benchmarks {
-                    let shared = get_default(b, OrganizationKind::Shared);
-                    for (org, values) in &mut series {
-                        let r = get_default(b, *org);
-                        values.push(r.runtime_normalized_to(shared));
-                    }
-                }
-                for (org, values) in series {
-                    fig.push_series(Series::new(org.label(), values));
-                }
-                fig.push_average_column();
-                vec![fig]
-            }
+                ),
+                &bench(benchmarks),
+                &orgs(&[Shared, LocoCc, LocoCcVms, LocoCcVmsIvr]),
+                |o, b| at(b, o).runtime_normalized_to(at(b, Shared)),
+            )],
             FigureSpec::Fig12 { benchmarks } => {
-                let mut latency = Figure::new(
-                    format!("fig12a-{}", params.label()),
-                    "LOCO L2 hit latency under alternative NoCs",
-                    "cycles over Private Cache",
-                );
-                let mut search = Figure::new(
-                    format!("fig12b-{}", params.label()),
-                    "LOCO global on-chip data search delay under alternative NoCs",
-                    "cycles",
-                );
-                latency.x_labels = bench_labels(benchmarks);
-                search.x_labels = bench_labels(benchmarks);
-                for router in NOC_SWEEP {
-                    let (mut lat_v, mut sea_v) = (Vec::new(), Vec::new());
-                    for &b in benchmarks {
-                        let private = get_default(b, OrganizationKind::Private);
-                        let r = get(&Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router,
-                            cluster: params.cluster,
-                            full_system: false,
-                        });
-                        lat_v.push((r.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0));
-                        sea_v.push(r.avg_search_delay);
-                    }
-                    latency.push_series(Series::new(format!("LOCO + {}", router.label()), lat_v));
-                    search.push_series(Series::new(format!("LOCO + {}", router.label()), sea_v));
-                }
-                latency.push_average_column();
-                search.push_average_column();
-                vec![latency, search]
+                let xs = bench(benchmarks);
+                vec![
+                    panel(
+                        (
+                            format!("fig12a-{p}"),
+                            "LOCO L2 hit latency under alternative NoCs",
+                            "cycles over Private Cache",
+                        ),
+                        &xs,
+                        &nocs,
+                        |r, b| over_private(loco(b, r, params.cluster), b),
+                    ),
+                    panel(
+                        (
+                            format!("fig12b-{p}"),
+                            "LOCO global on-chip data search delay under alternative NoCs",
+                            "cycles",
+                        ),
+                        &xs,
+                        &nocs,
+                        |r, b| loco(b, r, params.cluster).avg_search_delay,
+                    ),
+                ]
             }
-            FigureSpec::Fig13 { benchmarks } => {
-                let mut fig = Figure::new(
-                    format!("fig13-{}", params.label()),
+            FigureSpec::Fig13 { benchmarks } => vec![panel(
+                (
+                    format!("fig13-{p}"),
                     "LOCO runtime under alternative NoCs",
                     "runtime normalized to Shared Cache on SMART NoC",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                for router in NOC_SWEEP {
-                    let mut v = Vec::new();
-                    for &b in benchmarks {
-                        let shared = get_default(b, OrganizationKind::Shared);
-                        let r = get(&Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router,
-                            cluster: params.cluster,
-                            full_system: false,
-                        });
-                        v.push(r.runtime_normalized_to(shared));
-                    }
-                    fig.push_series(Series::new(format!("LOCO + {}", router.label()), v));
-                }
-                fig.push_average_column();
-                vec![fig]
-            }
+                ),
+                &bench(benchmarks),
+                &nocs,
+                |r, b| loco(b, r, params.cluster).runtime_normalized_to(at(b, Shared)),
+            )],
             FigureSpec::Fig14 { benchmarks, shapes } => {
-                let mut latency = Figure::new(
-                    "fig14a",
-                    "L2 hit latency increase by cluster size",
-                    "cycles over Private Cache",
-                );
-                let mut mpki =
-                    Figure::new("fig14b", "L2 misses per 1000 instructions by cluster size", "MPKI");
-                let mut search = Figure::new("fig14c", "Global search delay by cluster size", "cycles");
-                let mut runtime = Figure::new(
-                    "fig14d",
-                    "Normalized runtime by cluster size",
-                    "runtime normalized to Shared Cache",
-                );
-                let x: Vec<String> = bench_labels(benchmarks);
-                latency.x_labels = x.clone();
-                mpki.x_labels = x.clone();
-                search.x_labels = x.clone();
-                runtime.x_labels = x;
-                for &shape in shapes {
-                    let label = format!("Cluster Size:{}x{}", shape.w, shape.h);
-                    let (mut lv, mut mv, mut sv, mut rv) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-                    for &b in benchmarks {
-                        let private = get_default(b, OrganizationKind::Private);
-                        let shared = get_default(b, OrganizationKind::Shared);
-                        let r = get(&Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router: RouterKind::Smart,
-                            cluster: shape,
-                            full_system: false,
-                        });
-                        lv.push((r.avg_l2_hit_latency - private.avg_l2_hit_latency).max(0.0));
-                        mv.push(r.l2_mpki);
-                        sv.push(r.avg_search_delay);
-                        rv.push(r.runtime_normalized_to(shared));
-                    }
-                    latency.push_series(Series::new(label.clone(), lv));
-                    mpki.push_series(Series::new(label.clone(), mv));
-                    search.push_series(Series::new(label.clone(), sv));
-                    runtime.push_series(Series::new(label, rv));
-                }
-                for f in [&mut latency, &mut mpki, &mut search, &mut runtime] {
-                    f.push_average_column();
-                }
-                vec![latency, mpki, search, runtime]
+                let (xs, series) = (bench(benchmarks), by_shape(shapes));
+                let sized = |s, b| loco(b, RouterKind::Smart, s);
+                vec![
+                    panel(
+                        (
+                            "fig14a".into(),
+                            "L2 hit latency increase by cluster size",
+                            "cycles over Private Cache",
+                        ),
+                        &xs,
+                        &series,
+                        |s, b| over_private(sized(s, b), b),
+                    ),
+                    panel(
+                        ("fig14b".into(), "L2 misses per 1000 instructions by cluster size", "MPKI"),
+                        &xs,
+                        &series,
+                        |s, b| sized(s, b).l2_mpki,
+                    ),
+                    panel(
+                        ("fig14c".into(), "Global search delay by cluster size", "cycles"),
+                        &xs,
+                        &series,
+                        |s, b| sized(s, b).avg_search_delay,
+                    ),
+                    panel(
+                        (
+                            "fig14d".into(),
+                            "Normalized runtime by cluster size",
+                            "runtime normalized to Shared Cache",
+                        ),
+                        &xs,
+                        &series,
+                        |s, b| sized(s, b).runtime_normalized_to(at(b, Shared)),
+                    ),
+                ]
             }
             FigureSpec::Fig15 { workloads } => {
-                let mut offchip = Figure::new(
-                    "fig15a",
-                    "Multi-program workloads: normalized off-chip memory accesses",
-                    "normalized to Shared Cache",
-                );
-                let mut runtime = Figure::new(
-                    "fig15b",
-                    "Multi-program workloads: normalized runtime",
-                    "normalized to Shared Cache",
-                );
-                let labels: Vec<String> = workloads.iter().map(|w| format!("W{w}")).collect();
-                offchip.x_labels = labels.clone();
-                runtime.x_labels = labels;
-                let orgs = [
-                    OrganizationKind::Shared,
-                    OrganizationKind::LocoCc,
-                    OrganizationKind::LocoCcVmsIvr,
+                let xs: Vec<(String, usize)> = workloads.iter().map(|&w| (format!("W{w}"), w)).collect();
+                let series = [
+                    (Shared.label().to_string(), Shared),
+                    ("Clustered Cache".to_string(), LocoCc),
+                    (LocoCcVmsIvr.label().to_string(), LocoCcVmsIvr),
                 ];
-                let mut off_series: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
-                let mut run_series: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
-                for &w in workloads {
-                    let shared = get(&Scenario::MultiProgram {
-                        workload: w,
-                        org: OrganizationKind::Shared,
-                    });
-                    for (i, &org) in orgs.iter().enumerate() {
-                        let r = get(&Scenario::MultiProgram { workload: w, org });
-                        off_series[i].push(r.offchip_normalized_to(shared));
-                        run_series[i].push(r.runtime_normalized_to(shared));
-                    }
-                }
-                for (i, org) in orgs.iter().enumerate() {
-                    let label = if *org == OrganizationKind::LocoCc {
-                        "Clustered Cache".to_string()
-                    } else {
-                        org.label().to_string()
-                    };
-                    offchip.push_series(Series::new(label.clone(), off_series[i].clone()));
-                    runtime.push_series(Series::new(label, run_series[i].clone()));
-                }
-                offchip.push_average_column();
-                runtime.push_average_column();
-                vec![offchip, runtime]
+                let run = |org, workload| get(&Scenario::MultiProgram { workload, org });
+                vec![
+                    panel(
+                        (
+                            "fig15a".into(),
+                            "Multi-program workloads: normalized off-chip memory accesses",
+                            "normalized to Shared Cache",
+                        ),
+                        &xs,
+                        &series,
+                        |o, w| run(o, w).offchip_normalized_to(run(Shared, w)),
+                    ),
+                    panel(
+                        (
+                            "fig15b".into(),
+                            "Multi-program workloads: normalized runtime",
+                            "normalized to Shared Cache",
+                        ),
+                        &xs,
+                        &series,
+                        |o, w| run(o, w).runtime_normalized_to(run(Shared, w)),
+                    ),
+                ]
             }
             FigureSpec::Fig16 { benchmarks } => {
-                let get_fs = |b: Benchmark, org: OrganizationKind| {
-                    get(&Scenario::Trace {
-                        benchmark: b,
-                        org,
-                        router: RouterKind::Smart,
-                        cluster: params.cluster,
-                        full_system: true,
-                    })
-                };
-                let mut mpki = Figure::new(
-                    "fig16a",
-                    "Full system simulation: L2 misses per 1000 instructions",
-                    "MPKI",
-                );
-                mpki.x_labels = bench_labels(benchmarks);
-                let (mut shared_v, mut loco_v) = (Vec::new(), Vec::new());
-                for &b in benchmarks {
-                    shared_v.push(get_fs(b, OrganizationKind::Shared).l2_mpki);
-                    loco_v.push(get_fs(b, OrganizationKind::LocoCcVmsIvr).l2_mpki);
-                }
-                mpki.push_series(Series::new("Shared", shared_v));
-                mpki.push_series(Series::new("LOCO", loco_v));
-                mpki.push_average_column();
-
-                let mut runtime = Figure::new(
-                    "fig16b",
-                    "Full system simulation: normalized runtime against Shared Cache",
-                    "runtime normalized to Shared Cache",
-                );
-                runtime.x_labels = bench_labels(benchmarks);
-                let orgs = [
-                    OrganizationKind::LocoCc,
-                    OrganizationKind::LocoCcVms,
-                    OrganizationKind::LocoCcVmsIvr,
-                ];
-                let mut series: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
-                for &b in benchmarks {
-                    let shared = get_fs(b, OrganizationKind::Shared);
-                    for (i, &org) in orgs.iter().enumerate() {
-                        series[i].push(get_fs(b, org).runtime_normalized_to(shared));
-                    }
-                }
-                for (i, org) in orgs.iter().enumerate() {
-                    runtime.push_series(Series::new(org.label(), series[i].clone()));
-                }
-                runtime.push_average_column();
-                vec![mpki, runtime]
+                let xs = bench(benchmarks);
+                let full = |org, b| trace(b, org, RouterKind::Smart, params.cluster, true);
+                vec![
+                    panel(
+                        (
+                            "fig16a".into(),
+                            "Full system simulation: L2 misses per 1000 instructions",
+                            "MPKI",
+                        ),
+                        &xs,
+                        &[("Shared".into(), Shared), ("LOCO".into(), LocoCcVmsIvr)],
+                        |o, b| full(o, b).l2_mpki,
+                    ),
+                    panel(
+                        (
+                            "fig16b".into(),
+                            "Full system simulation: normalized runtime against Shared Cache",
+                            "runtime normalized to Shared Cache",
+                        ),
+                        &xs,
+                        &orgs(&[LocoCc, LocoCcVms, LocoCcVmsIvr]),
+                        |o, b| full(o, b).runtime_normalized_to(full(Shared, b)),
+                    ),
+                ]
             }
             FigureSpec::Fig17Energy { benchmarks } => {
                 let energy = EnergyParams::default();
-                let breakdown = |b: Benchmark, org: OrganizationKind| -> EnergyBreakdown {
-                    energy.breakdown(get_default(b, org))
-                };
-                // 17a: energy per instruction, per organization, across the
-                // benchmark x-axis (nJ so the magnitudes stay readable).
-                let mut epi = Figure::new(
-                    format!("fig17a-{}", params.label()),
-                    "Energy per instruction by cache organization",
-                    "nJ / instruction",
+                let breakdown = |b, org| energy.breakdown(at(b, org));
+                // 17a: energy per instruction (nJ, so the magnitudes stay
+                // readable).
+                let epi = panel(
+                    (
+                        format!("fig17a-{p}"),
+                        "Energy per instruction by cache organization",
+                        "nJ / instruction",
+                    ),
+                    &bench(benchmarks),
+                    &orgs(&ENERGY_ORGS),
+                    |o, b| breakdown(b, o).epi_fj() / 1e6,
                 );
-                epi.x_labels = bench_labels(benchmarks);
-                for org in ENERGY_ORGS {
-                    let v: Vec<f64> = benchmarks
-                        .iter()
-                        .map(|&b| breakdown(b, org).epi_fj() / 1e6)
-                        .collect();
-                    epi.push_series(Series::new(org.label(), v));
-                }
-                epi.push_average_column();
                 // 17b: the subsystem breakdown per organization, averaged
                 // over the benchmarks (the stacked-bar view of 17a).
                 let mut parts = Figure::new(
-                    format!("fig17b-{}", params.label()),
+                    format!("fig17b-{p}"),
                     "Energy breakdown by subsystem (benchmark average)",
                     "nJ / instruction",
                 );
@@ -1089,55 +977,32 @@ impl FigureSpec {
             }
             FigureSpec::Fig18Edp { benchmarks, shapes } => {
                 let energy = EnergyParams::default();
-                let mut fig = Figure::new(
-                    format!("fig18-{}", params.label()),
-                    "Energy-delay product of LOCO by cluster size",
-                    "EDP normalized to Shared Cache",
-                );
-                fig.x_labels = bench_labels(benchmarks);
-                for &shape in shapes {
-                    let mut v = Vec::new();
-                    for &b in benchmarks {
-                        let shared =
-                            energy.breakdown(get_default(b, OrganizationKind::Shared));
-                        let r = get(&Scenario::Trace {
-                            benchmark: b,
-                            org: OrganizationKind::LocoCcVmsIvr,
-                            router: RouterKind::Smart,
-                            cluster: shape,
-                            full_system: false,
-                        });
-                        v.push(energy.breakdown(r).edp_normalized_to(&shared));
-                    }
-                    fig.push_series(Series::new(
-                        format!("Cluster Size:{}x{}", shape.w, shape.h),
-                        v,
-                    ));
-                }
-                fig.push_average_column();
-                vec![fig]
+                vec![panel(
+                    (
+                        format!("fig18-{p}"),
+                        "Energy-delay product of LOCO by cluster size",
+                        "EDP normalized to Shared Cache",
+                    ),
+                    &bench(benchmarks),
+                    &by_shape(shapes),
+                    |s, b| {
+                        let shared = energy.breakdown(at(b, Shared));
+                        energy.breakdown(loco(b, RouterKind::Smart, s)).edp_normalized_to(&shared)
+                    },
+                )]
             }
             FigureSpec::Fig19Stall => {
-                let mut fig = Figure::new(
-                    "fig19",
-                    "Stall-heavy stress workloads under alternative NoCs",
-                    "runtime normalized to SMART NoC",
-                );
-                fig.x_labels = StressKind::ALL.iter().map(|k| k.name().to_string()).collect();
-                for router in NOC_SWEEP {
-                    let mut v = Vec::new();
-                    for kind in StressKind::ALL {
-                        let smart = get(&Scenario::StallStress {
-                            kind,
-                            router: RouterKind::Smart,
-                        });
-                        let r = get(&Scenario::StallStress { kind, router });
-                        v.push(r.runtime_normalized_to(smart));
-                    }
-                    fig.push_series(Series::new(format!("LOCO + {}", router.label()), v));
-                }
-                fig.push_average_column();
-                vec![fig]
+                let stall = |kind, router| get(&Scenario::StallStress { kind, router });
+                vec![panel(
+                    (
+                        "fig19".into(),
+                        "Stall-heavy stress workloads under alternative NoCs",
+                        "runtime normalized to SMART NoC",
+                    ),
+                    &StressKind::ALL.map(|k| (k.name().to_string(), k)),
+                    &nocs,
+                    |r, k| stall(k, r).runtime_normalized_to(stall(k, RouterKind::Smart)),
+                )]
             }
         }
     }
@@ -1344,7 +1209,10 @@ mod tests {
         let params = quick();
         // DRAM-bound: nearly every access goes off-chip, and the stretched
         // latency dominates the runtime.
-        let dram = run_stall_stress(&params, StressKind::DramBound, RouterKind::Smart);
+        let stress = |kind| {
+            run_scenario(&params, Scenario::StallStress { kind, router: RouterKind::Smart })
+        };
+        let dram = stress(StressKind::DramBound);
         assert!(dram.completed);
         assert!(
             dram.offchip_accesses * 2 > dram.cache.l2_misses,
@@ -1358,7 +1226,7 @@ mod tests {
             dram.avg_miss_latency
         );
         // Barrier-phased: the barriers must actually fire.
-        let barrier = run_stall_stress(&params, StressKind::BarrierPhased, RouterKind::Smart);
+        let barrier = stress(StressKind::BarrierPhased);
         assert!(barrier.completed);
         assert!(
             barrier.cache.instructions > 0 && barrier.runtime_cycles > 0,
@@ -1370,21 +1238,31 @@ mod tests {
     // `tests/campaign.rs::senseless_thread_counts_are_rejected_with_a_clear_error`
     // (through the public re-export the CLI actually uses).
 
+    /// Every figure has a number and a title, and every panel is
+    /// well-formed: a non-empty title, an id unique across the campaign and
+    /// an `AVG` column (all but the fig17b breakdown). The title is its
+    /// panels' titles joined with " / ".
     #[test]
     fn every_figure_has_an_id_number_and_title() {
-        let specs = [
-            FigureSpec::Fig06 { benchmarks: vec![] },
-            FigureSpec::Fig17Energy { benchmarks: vec![] },
-            FigureSpec::Fig18Edp {
-                benchmarks: vec![],
-                shapes: vec![],
-            },
-        ];
+        let params = quick();
+        let specs = every_figure();
         // The id `reproduce --list-figures` prints is the number, zero-padded.
         let ids: Vec<String> = specs.iter().map(|s| format!("fig{:02}", s.number())).collect();
-        assert_eq!(ids, ["fig06", "fig17", "fig18"]);
-        for s in &specs {
-            assert!(!s.title().is_empty());
+        let expected: Vec<String> = (6..=19).map(|n| format!("fig{n:02}")).collect();
+        assert_eq!(ids, expected);
+        let blank = SimResults::default();
+        let mut panel_ids = FxHashSet::default();
+        for spec in &specs {
+            let panels = spec.build(&params, &|_| &blank);
+            for f in &panels {
+                assert!(!f.title.is_empty(), "{} has no title", f.id);
+                assert!(panel_ids.insert(f.id.clone()), "panel id {} is not unique", f.id);
+                if !f.id.starts_with("fig17b") {
+                    assert_eq!(f.x_labels.last().map(String::as_str), Some("AVG"), "{}", f.id);
+                }
+            }
+            let titles: Vec<&str> = panels.iter().map(|f| f.title.as_str()).collect();
+            assert_eq!(spec.title(&params), titles.join(" / "));
         }
     }
 

@@ -83,11 +83,7 @@ impl Figure {
     pub fn push_average_column(&mut self) {
         self.x_labels.push("AVG".to_string());
         for s in &mut self.series {
-            let mean = if s.values.is_empty() {
-                0.0
-            } else {
-                s.values.iter().sum::<f64>() / s.values.len() as f64
-            };
+            let mean = s.mean();
             s.values.push(mean);
         }
     }

@@ -500,15 +500,6 @@ impl CmpSystem {
         self.now += 1;
     }
 
-    /// Most in-flight packets the fabric may hold before the horizon stops
-    /// probing it and pins to per-cycle stepping (see `next_step_cycle`).
-    /// Stall-phase stragglers — the case the fine-grained horizon exists
-    /// for — are a handful of packets; saturated phases hold tens to
-    /// hundreds, and there a per-head probe costs more than the 1–2-cycle
-    /// windows it could find. The cut-off only trades performance, never
-    /// exactness.
-    const BUSY_PROBE_LIMIT: usize = 8;
-
     /// Earliest cycle `>= self.now` at which [`CmpSystem::step`] can make
     /// progress, or `None` when no component will ever act again on its own
     /// (every remaining naive step would be a no-op).
@@ -557,16 +548,7 @@ impl CmpSystem {
         // arrival and every buffered head's (ready, link-free) cycle.
         // Before PR 5 this was pinned to `now` whenever any packet was in
         // flight; the per-component horizon lets barrier and DRAM stalls
-        // with stragglers in the fabric skip too. The probe costs one scan
-        // over the occupied lanes, so it is only consulted while the fabric
-        // holds few packets — the straggler regime where multi-cycle skip
-        // windows actually exist. Under dense traffic events arrive nearly
-        // every cycle and the scan would out-cost the skips, so the horizon
-        // pins to "step now" exactly as the old drain-only probe did
-        // (purely conservative: skipping less never changes results).
-        if self.network.in_flight() > Self::BUSY_PROBE_LIMIT {
-            return Some(now);
-        }
+        // with stragglers in the fabric skip too.
         if let Some(t) = self.network.next_event() {
             if t <= now {
                 return Some(now);

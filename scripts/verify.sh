@@ -31,32 +31,19 @@ LOCO_STRESS_SEED=538510120 LOCO_STRESS_CONFIGS=250 \
 echo "==> energy suite (golden breakdown fingerprint, run/run_naive and thread invariance)"
 cargo test -q --offline --test energy
 
-echo "==> parallel campaign smoke (reproduce: 4-thread output == 1-thread output, byte for byte)"
+echo "==> parallel campaign smoke (every figure; 4-thread output == 1-thread output, byte for byte; EXPERIMENTS.md regenerates)"
 cargo build --release --offline -q -p loco-bench --bin reproduce
 ./target/release/reproduce --params quick --threads 4 --json target/campaign_t4.json > target/campaign_t4.txt 2>/dev/null
-./target/release/reproduce --params quick --threads 1 --json target/campaign_t1.json > target/campaign_t1.txt 2>/dev/null
+./target/release/reproduce --params quick --threads 1 --json target/campaign_t1.json \
+    --markdown target/EXPERIMENTS.md > target/campaign_t1.txt 2>/dev/null
 cmp target/campaign_t1.txt target/campaign_t4.txt
 cmp target/campaign_t1.json target/campaign_t4.json
-
-echo "==> EXPERIMENTS.md regenerates byte for byte (quick params, every figure)"
-./target/release/reproduce --params quick --figures all --markdown target/EXPERIMENTS.md > /dev/null 2>&1
 cmp target/EXPERIMENTS.md EXPERIMENTS.md
 
-echo "==> energy-figure smoke (fig17/fig18 on quick params, 1-vs-4-thread byte identity)"
-./target/release/reproduce --params quick --figures fig17,fig18 --threads 4 --json target/energy_t4.json > target/energy_t4.txt 2>/dev/null
-./target/release/reproduce --params quick --figures fig17,fig18 --threads 1 --json target/energy_t1.json > target/energy_t1.txt 2>/dev/null
-cmp target/energy_t1.txt target/energy_t4.txt
-cmp target/energy_t1.json target/energy_t4.json
-./target/release/reproduce --list-figures > target/figures.txt
-grep -q "^fig17" target/figures.txt || { echo "fig17 missing from --list-figures"; exit 1; }
-grep -q "^fig18" target/figures.txt || { echo "fig18 missing from --list-figures"; exit 1; }
-grep -q "^fig19" target/figures.txt || { echo "fig19 missing from --list-figures"; exit 1; }
-
-echo "==> stall-heavy figure smoke (fig19 stress scenarios, 1-vs-2-thread byte identity)"
-./target/release/reproduce --params quick --figures fig19 --threads 2 --json target/stall_t2.json > target/stall_t2.txt 2>/dev/null
-./target/release/reproduce --params quick --figures fig19 --threads 1 --json target/stall_t1.json > target/stall_t1.txt 2>/dev/null
-cmp target/stall_t1.txt target/stall_t2.txt
-cmp target/stall_t1.json target/stall_t2.json
+echo "==> --list-figures names exactly fig06..fig19, in order"
+./target/release/reproduce --list-figures | cut -d' ' -f1 > target/figures.txt
+printf 'fig%02d\n' $(seq 6 19) > target/figures_expected.txt
+cmp target/figures_expected.txt target/figures.txt
 
 echo "==> CLI rejects senseless --threads values"
 if ./target/release/reproduce --params quick --threads 1000000 >/dev/null 2>target/threads_err.txt; then
