@@ -47,7 +47,7 @@ use loco_cache::{ClusterShape, OrganizationKind};
 use loco_energy::{EnergyBreakdown, EnergyParams};
 use loco_noc::{FxHashMap, FxHashSet, RouterKind};
 use loco_sim::{CmpSystem, SimResults};
-use loco_workloads::{Benchmark, MultiProgramWorkload, StressKind, TraceGenerator};
+use loco_workloads::{Benchmark, BenchmarkSpec, MultiProgramWorkload, StressKind, TraceGenerator};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,10 +66,11 @@ fn send_invariants() {
 }
 
 /// One fully-specified simulation configuration — the unit of work of a
-/// campaign and the key of a [`ResultSet`].
+/// campaign and the key of a [`ResultSet`]: everything that distinguishes
+/// one run from another at fixed [`ExperimentParams`].
 ///
-/// This is the public promotion of the old private `RunKey`: everything that
-/// distinguishes one run from another at fixed [`ExperimentParams`].
+/// [`Scenario::system`] is the one place a scenario's [`CmpSystem`] is
+/// built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// A single-benchmark trace-driven (or full-system) run.
@@ -128,6 +129,90 @@ impl Scenario {
         }
     }
 
+    /// Builds this scenario's system at `params`, ready to run or to step
+    /// by hand. Caches and working sets shrink together by
+    /// `params.working_set_scale` (DESIGN.md §3), and every core replays a
+    /// trace generated from `params.seed`.
+    ///
+    /// * `Trace`: the benchmark on the `params` mesh, one barrier group.
+    /// * `MultiProgram`: the Table-2 workload on the SMART NoC, one barrier
+    ///   group per task instance. The cluster matches the per-task thread
+    ///   count (4x1, 8x1 or 4x4); below 64 cores (the `quick()` mesh) the
+    ///   campaign's default cluster is used and the workload is truncated
+    ///   to fit.
+    /// * `StallStress`: a fixed 16-core (4x4) mesh with 2x2 clusters under
+    ///   CC+VMS. DRAM-bound runs stretch the memory latency to 800 cycles
+    ///   (min gap 8), so nearly the whole run is exposed off-chip stall;
+    ///   barrier-phased runs enable the full-system replay mode.
+    pub fn system(&self, params: &ExperimentParams) -> CmpSystem {
+        let scale = params.working_set_scale.max(1);
+        // A single-program trace set: every core in barrier group 0.
+        let traces = |spec: BenchmarkSpec, full_system: bool, cores: usize| {
+            let traces = TraceGenerator::new(params.seed)
+                .with_barriers(full_system)
+                .generate(&spec.scaled_down(scale), cores, params.mem_ops_per_core);
+            let groups = vec![0; traces.len()];
+            (traces, groups)
+        };
+        let (cfg, (traces, groups)) = match *self {
+            Scenario::Trace {
+                benchmark,
+                org,
+                router,
+                cluster,
+                full_system,
+            } => (
+                params.system(org, router, cluster, full_system),
+                traces(benchmark.spec(), full_system, params.num_cores()),
+            ),
+            Scenario::MultiProgram { workload, org } => {
+                let workload = MultiProgramWorkload::table2_entry(workload);
+                let cluster = if params.num_cores() < 64 {
+                    params.cluster
+                } else {
+                    match workload.threads_per_task() {
+                        4 => ClusterShape::new(4, 1),
+                        8 => ClusterShape::new(8, 1),
+                        _ => ClusterShape::new(4, 4),
+                    }
+                };
+                let mut traces =
+                    workload.generate_traces_scaled(params.mem_ops_per_core, params.seed, scale);
+                let mut groups: Vec<usize> = workload
+                    .assign_cores()
+                    .iter()
+                    .flat_map(|a| a.cores.iter().map(move |_| a.task_id))
+                    .collect();
+                traces.truncate(params.num_cores());
+                groups.truncate(params.num_cores());
+                (
+                    params.system(org, RouterKind::Smart, cluster, false),
+                    (traces, groups),
+                )
+            }
+            Scenario::StallStress { kind, router } => {
+                let fixed_mesh = ExperimentParams {
+                    mesh_width: 4,
+                    mesh_height: 4,
+                    ..*params
+                };
+                let mut cfg = fixed_mesh.system(
+                    OrganizationKind::LocoCcVms,
+                    router,
+                    ClusterShape::new(2, 2),
+                    kind.full_system(),
+                );
+                if kind == StressKind::DramBound {
+                    cfg.mem.latency = 800;
+                    cfg.mem.min_gap = 8;
+                }
+                let cores = cfg.num_cores();
+                (cfg, traces(kind.spec(), kind.full_system(), cores))
+            }
+        };
+        CmpSystem::with_groups(cfg, traces, groups)
+    }
+
     /// A short human-readable label (diagnostics, panic messages).
     pub fn label(&self) -> String {
         match self {
@@ -156,112 +241,25 @@ impl Scenario {
     }
 }
 
-/// Runs one [`Scenario`] from scratch: generates the traces, builds the
-/// system and simulates. Pure with respect to its inputs — the same
-/// `(params, scenario)` pair always produces bit-identical [`SimResults`]
-/// (the foundation of the thread-count invariance guarantee).
+/// Runs one [`Scenario`] from scratch: builds its system and simulates.
+/// Pure with respect to its inputs — the same `(params, scenario)` pair
+/// always produces bit-identical [`SimResults`] (the foundation of the
+/// thread-count invariance guarantee).
 pub fn run_scenario(params: &ExperimentParams, scenario: Scenario) -> SimResults {
-    match scenario {
-        Scenario::Trace {
-            benchmark,
-            org,
-            router,
-            cluster,
-            full_system,
-        } => {
-            let spec = params.scaled_spec(benchmark);
-            let traces = TraceGenerator::new(params.seed)
-                .with_barriers(full_system)
-                .generate(&spec, params.num_cores(), params.mem_ops_per_core);
-            let cfg = params.system(org, router, cluster, full_system);
-            let mut sys = CmpSystem::new(cfg, traces);
-            sys.run(params.max_cycles)
-        }
-        Scenario::MultiProgram { workload, org } => {
-            run_multiprogram_workload(params, &MultiProgramWorkload::table2_entry(workload), org)
-        }
-        Scenario::StallStress { kind, router } => {
-            stall_stress_system(params, kind, router).run(params.max_cycles)
-        }
-    }
+    scenario.system(params).run(params.max_cycles)
 }
 
-/// Builds (without running) the system of one stall-heavy stress scenario:
-/// a fixed 16-core (4x4) mesh with 2x2 LOCO clusters under CC+VMS, working
-/// set and caches scaled together exactly as trace scenarios are.
-/// DRAM-bound runs stretch the memory latency to 800 cycles (min gap 8) so
-/// nearly the whole run is exposed off-chip stall; barrier-phased runs
-/// enable the full-system replay mode. Exposed so the benchmark and the
-/// equivalence suite can drive the exact campaign configuration manually
-/// (e.g. to read the scheduler's skip diagnostics or to time `run` against
+/// Builds (without running) the system of one stall-heavy stress scenario,
+/// [`Scenario::system`] of [`Scenario::StallStress`]. Exposed so the
+/// benchmark can drive the exact campaign configuration manually (e.g. to
+/// read the scheduler's skip diagnostics or to time `run` against
 /// `run_naive`).
 pub fn stall_stress_system(
     params: &ExperimentParams,
     kind: StressKind,
     router: RouterKind,
 ) -> CmpSystem {
-    let spec = kind.spec().scaled_down(params.working_set_scale.max(1));
-    let full_system = kind.full_system();
-    let fixed_mesh = ExperimentParams {
-        mesh_width: 4,
-        mesh_height: 4,
-        ..*params
-    };
-    let mut cfg = fixed_mesh.system(
-        OrganizationKind::LocoCcVms,
-        router,
-        ClusterShape::new(2, 2),
-        full_system,
-    );
-    if kind == StressKind::DramBound {
-        cfg.mem.latency = 800;
-        cfg.mem.min_gap = 8;
-    }
-    let traces = TraceGenerator::new(params.seed)
-        .with_barriers(full_system)
-        .generate(&spec, cfg.num_cores(), params.mem_ops_per_core);
-    CmpSystem::new(cfg, traces)
-}
-
-/// Runs one multi-program workload under one organization. The cluster size
-/// follows the paper: it matches the per-task thread count (4x1, 8x1 or
-/// 4x4); below 64 cores (the `quick()` mesh) the campaign's default cluster
-/// is used and the workload is truncated to fit.
-fn run_multiprogram_workload(
-    params: &ExperimentParams,
-    workload: &MultiProgramWorkload,
-    org: OrganizationKind,
-) -> SimResults {
-    let threads = workload.threads_per_task();
-    let cluster = if params.num_cores() < 64 {
-        params.cluster
-    } else {
-        match threads {
-            4 => ClusterShape::new(4, 1),
-            8 => ClusterShape::new(8, 1),
-            _ => ClusterShape::new(4, 4),
-        }
-    };
-    let mut traces = workload.generate_traces_scaled(
-        params.mem_ops_per_core,
-        params.seed,
-        params.working_set_scale.max(1),
-    );
-    let mut groups: Vec<usize> = Vec::new();
-    for a in workload.assign_cores() {
-        for _ in &a.cores {
-            groups.push(a.task_id);
-        }
-    }
-    // The quick() configuration has fewer cores than the 64-core workload
-    // definition: truncate to fit.
-    if params.num_cores() < traces.len() {
-        traces.truncate(params.num_cores());
-        groups.truncate(params.num_cores());
-    }
-    let cfg = params.system(org, RouterKind::Smart, cluster, false);
-    let mut sys = CmpSystem::with_groups(cfg, traces, groups);
-    sys.run(params.max_cycles)
+    Scenario::StallStress { kind, router }.system(params)
 }
 
 /// A deduplicated, ordered set of [`Scenario`]s — the output of the plan
@@ -635,7 +633,8 @@ fn panel<X: Copy, S: Copy>(
 
 impl FigureSpec {
     /// The figure number (6–16 mirror the paper; 17–18 are the energy
-    /// figures this reproduction adds on top of the evaluation).
+    /// figures and 19 the stall-stress sweep this reproduction adds on top
+    /// of the evaluation).
     pub fn number(&self) -> u32 {
         match self {
             FigureSpec::Fig06 { .. } => 6,
@@ -1232,6 +1231,35 @@ mod tests {
             barrier.cache.instructions > 0 && barrier.runtime_cycles > 0,
             "barrier-phased run must make progress"
         );
+    }
+
+    /// Stepping a scenario's system by hand until every core finishes gives
+    /// exactly the results of `run_scenario`, for each kind of scenario.
+    #[test]
+    fn stepping_a_scenario_system_matches_run_scenario() {
+        let params = quick();
+        for scenario in [
+            Scenario::default_trace(&params, Benchmark::Lu, OrganizationKind::LocoCcVmsIvr),
+            Scenario::MultiProgram {
+                workload: 0,
+                org: OrganizationKind::LocoCcVmsIvr,
+            },
+            Scenario::StallStress {
+                kind: StressKind::BarrierPhased,
+                router: RouterKind::Smart,
+            },
+        ] {
+            let mut sys = scenario.system(&params);
+            while !sys.all_finished() {
+                sys.step();
+            }
+            assert_eq!(
+                format!("{:?}", sys.results()),
+                format!("{:?}", run_scenario(&params, scenario)),
+                "{}",
+                scenario.label()
+            );
+        }
     }
 
     // `Executor::try_new`'s rejection contract is covered by

@@ -12,7 +12,6 @@
 use loco_cache::{ClusterShape, OrganizationKind};
 use loco_noc::RouterKind;
 use loco_sim::SystemConfig;
-use loco_workloads::Benchmark;
 
 /// Scale parameters of an experiment campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,10 +110,6 @@ impl ExperimentParams {
         cfg.l2.geometry.size_bytes = (cfg.l2.geometry.size_bytes / scale).max(2048);
         cfg
     }
-
-    pub(crate) fn scaled_spec(&self, benchmark: Benchmark) -> loco_workloads::BenchmarkSpec {
-        benchmark.spec().scaled_down(self.working_set_scale.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -122,6 +117,7 @@ mod tests {
     use super::*;
     use crate::campaign::{CampaignPlan, Executor, FigureSpec};
     use crate::report::Figure;
+    use loco_workloads::Benchmark;
 
     fn quick_benchmarks() -> Vec<Benchmark> {
         vec![Benchmark::Lu, Benchmark::Blackscholes]

@@ -48,9 +48,6 @@ pub struct NocConfig {
     pub vc_depth: u8,
     /// Link width in bytes. Table 1: 16.
     pub link_bytes: u32,
-    /// Router pipeline depth in cycles for packets that stop at the router
-    /// (1 for conventional/SMART, 4 for high-radix).
-    pub router_pipeline: u8,
 }
 
 impl NocConfig {
@@ -63,7 +60,6 @@ impl NocConfig {
             vcs_per_vn: 4,
             vc_depth: 4,
             link_bytes: 16,
-            router_pipeline: 1,
         }
     }
 
@@ -80,8 +76,17 @@ impl NocConfig {
     pub fn highradix_mesh(width: u16, height: u16, hpc_max: u16) -> Self {
         NocConfig {
             router: RouterKind::HighRadix,
-            router_pipeline: 4,
             ..Self::smart_mesh(width, height, hpc_max)
+        }
+    }
+
+    /// Router pipeline depth in cycles for packets that stop at a router:
+    /// 4 for high-radix routers (multi-stage arbiters and crossbars), 1 for
+    /// conventional and SMART routers.
+    pub fn router_pipeline(&self) -> u8 {
+        match self.router {
+            RouterKind::HighRadix => 4,
+            RouterKind::Conventional | RouterKind::Smart => 1,
         }
     }
 
@@ -111,9 +116,6 @@ impl NocConfig {
         }
         if self.link_bytes == 0 {
             return Err("link width must be non-zero".into());
-        }
-        if self.router_pipeline == 0 {
-            return Err("router pipeline must be at least one stage".into());
         }
         Ok(())
     }
@@ -146,7 +148,7 @@ mod tests {
     #[test]
     fn highradix_has_deep_pipeline() {
         let c = NocConfig::highradix_mesh(8, 8, 4);
-        assert_eq!(c.router_pipeline, 4);
+        assert_eq!(c.router_pipeline(), 4);
         assert_eq!(c.router, RouterKind::HighRadix);
     }
 

@@ -30,7 +30,7 @@ impl HighRadixEngine {
     /// Builds the traversal state for the given configuration.
     pub fn new(cfg: &NocConfig) -> Self {
         HighRadixEngine {
-            router_pipeline: cfg.router_pipeline,
+            router_pipeline: cfg.router_pipeline(),
             // A packet landing at its destination ejects, so it needs no
             // downstream buffer slot.
             grants: Backpressure::new(cfg, true),

@@ -27,7 +27,7 @@ pub fn zero_load_latency(cfg: &NocConfig, src: NodeId, dest: NodeId) -> u64 {
             // Express links reach hpc_max hops in 1 cycle, but every stop
             // pays the multi-stage router pipeline.
             let express_hops = u64::from(mesh.smart_hops(src, dest, cfg.hpc_max));
-            express_hops * (u64::from(cfg.router_pipeline) + 1)
+            express_hops * (u64::from(cfg.router_pipeline()) + 1)
         }
     }
 }
@@ -53,7 +53,7 @@ pub fn zero_load_broadcast_latency(
     let per_level = match cfg.router {
         RouterKind::Conventional => 2 * u64::from(cfg.hpc_max.max(1)),
         RouterKind::Smart => 2,
-        RouterKind::HighRadix => u64::from(cfg.router_pipeline) + 1,
+        RouterKind::HighRadix => u64::from(cfg.router_pipeline()) + 1,
     };
     // Each tree level is one home-to-home segment (<= hpc_max physical hops).
     (u64::from(horiz_levels) + u64::from(vert_levels)) * per_level

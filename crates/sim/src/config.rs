@@ -8,11 +8,12 @@ use loco_noc::{Mesh, NocConfig, RouterKind};
 
 /// Complete configuration of a simulated CMP.
 ///
-/// The `asplos_64` / `asplos_256` constructors reproduce Table 1 of the
-/// paper: 2-way in-order cores, 16 KB 4-way L1s (1 cycle), 64 KB 8-way
-/// inclusive L2 slices (4 cycles), MSI/MOESI coherence, an 8x8 or 16x16 mesh
-/// with 5 VNs x 4 VCs and 16-byte links, `HPCmax` = 4, a 10-cycle directory
-/// and four 200-cycle memory controllers on the chip edges.
+/// The `asplos_64` constructor reproduces Table 1 of the paper: 2-way
+/// in-order cores, 16 KB 4-way L1s (1 cycle), 64 KB 8-way inclusive L2
+/// slices (4 cycles), MSI/MOESI coherence, an 8x8 mesh (set `mesh_width` /
+/// `mesh_height` for the 16x16 CMP) with 5 VNs x 4 VCs and 16-byte links,
+/// `HPCmax` = 4, a 10-cycle directory and four 200-cycle memory controllers
+/// on the chip edges.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Mesh width in tiles.
@@ -54,15 +55,6 @@ impl SystemConfig {
             dir: DirectoryConfig::default(),
             mem: MemoryConfig::default(),
             full_system: false,
-        }
-    }
-
-    /// The paper's 256-core CMP (16x16 mesh, SMART NoC, 4x4 clusters).
-    pub fn asplos_256(organization: OrganizationKind) -> Self {
-        SystemConfig {
-            mesh_width: 16,
-            mesh_height: 16,
-            ..Self::asplos_64(organization)
         }
     }
 
@@ -145,13 +137,6 @@ mod tests {
         assert_eq!(loco_noc::VirtualNetwork::ALL.len(), 5);
         assert_eq!(noc.vcs_per_vn, 4);
         assert_eq!(noc.link_bytes, 16);
-    }
-
-    #[test]
-    fn table1_256_core_configuration() {
-        let c = SystemConfig::asplos_256(OrganizationKind::Shared);
-        assert_eq!(c.num_cores(), 256);
-        assert_eq!(c.mesh().width(), 16);
     }
 
     #[test]

@@ -632,11 +632,7 @@ impl CmpSystem {
         SimResults {
             runtime_cycles: runtime,
             completed: self.all_finished(),
-            avg_l2_hit_latency: if self.l2_hit_latency_count == 0 {
-                0.0
-            } else {
-                self.l2_hit_latency_sum as f64 / self.l2_hit_latency_count as f64
-            },
+            avg_l2_hit_latency: cache.avg_l2_hit_latency(),
             avg_miss_latency: if self.miss_latency_count == 0 {
                 0.0
             } else {

@@ -123,15 +123,10 @@ impl MultiProgramWorkload {
     }
 
     /// Generates per-core traces for the whole workload on a `total_cores()`
-    /// CMP. The returned vector is indexed by core id; cores outside any
-    /// task (none, for Table 2) receive empty traces.
-    pub fn generate_traces(&self, mem_ops_per_thread: u64, seed: u64) -> Vec<CoreTrace> {
-        self.generate_traces_scaled(mem_ops_per_thread, seed, 1)
-    }
-
-    /// Like [`MultiProgramWorkload::generate_traces`], but with every task's
-    /// working set scaled down by `ws_divisor`
-    /// (see [`crate::BenchmarkSpec::scaled_down`]).
+    /// CMP, with every task's working set scaled down by `ws_divisor` (1
+    /// keeps it whole; see [`crate::BenchmarkSpec::scaled_down`]). The
+    /// returned vector is indexed by core id; cores outside any task (none,
+    /// for Table 2) receive empty traces.
     pub fn generate_traces_scaled(
         &self,
         mem_ops_per_thread: u64,
@@ -200,7 +195,7 @@ mod tests {
     #[test]
     fn different_tasks_never_share_addresses() {
         let w = MultiProgramWorkload::table2_entry(2);
-        let traces = w.generate_traces(300, 11);
+        let traces = w.generate_traces_scaled(300, 11, 1);
         let assignments = w.assign_cores();
         let lines_of_task = |task: &TaskAssignment| -> HashSet<u64> {
             task.cores

@@ -475,7 +475,7 @@ mod tests {
     fn decoded_ops_match_the_pinned_fingerprint() {
         let mut h = 0xcbf2_9ce4_8422_2325;
         for w in crate::MultiProgramWorkload::table2() {
-            h = fold_traces(h, &w.generate_traces(200, 42));
+            h = fold_traces(h, &w.generate_traces_scaled(200, 42, 1));
         }
         let specs = Benchmark::ALL
             .iter()

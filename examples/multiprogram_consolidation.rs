@@ -7,24 +7,20 @@
 //! cargo run --release -p loco --example multiprogram_consolidation
 //! ```
 
-use loco::{CmpSystem, MultiProgramWorkload, OrganizationKind, SystemConfig};
-use loco_cache::ClusterShape;
+use loco::campaign::run_scenario;
+use loco::{ExperimentParams, MultiProgramWorkload, OrganizationKind, Scenario, SimResults};
 
-fn run(workload: &MultiProgramWorkload, org: OrganizationKind) -> loco::SimResults {
-    let threads = workload.threads_per_task();
-    let cluster = match threads {
-        4 => ClusterShape::new(4, 1),
-        8 => ClusterShape::new(8, 1),
-        _ => ClusterShape::new(4, 4),
+/// Table-2 workload `workload` under `org`: 600 memory ops per thread at the
+/// Table-1 cache capacities. The cluster shape matches the per-task thread
+/// count (4x1, 8x1 or 4x4), so every task instance gets its own cluster.
+fn run(workload: usize, org: OrganizationKind) -> SimResults {
+    let params = ExperimentParams {
+        working_set_scale: 1,
+        ..ExperimentParams::paper_64().with_mem_ops(600)
     };
-    let cfg = SystemConfig::asplos_64(org).with_cluster(cluster);
-    let traces = workload.generate_traces(600, 42);
-    let groups: Vec<usize> = workload
-        .assign_cores()
-        .iter()
-        .flat_map(|a| a.cores.iter().map(move |_| a.task_id))
-        .collect();
-    CmpSystem::with_groups(cfg, traces, groups).run(50_000_000)
+    let r = run_scenario(&params, Scenario::MultiProgram { workload, org });
+    assert!(r.completed, "W{workload} under {org:?} did not finish");
+    r
 }
 
 fn main() {
@@ -38,13 +34,12 @@ fn main() {
         "wl", "runtime", "off-chip", "runtime", "off-chip", "runtime", "off-chip"
     );
     for idx in [0usize, 5, 9] {
-        let workload = MultiProgramWorkload::table2_entry(idx);
-        let shared = run(&workload, OrganizationKind::Shared);
-        let clustered = run(&workload, OrganizationKind::LocoCc);
-        let loco = run(&workload, OrganizationKind::LocoCcVmsIvr);
+        let shared = run(idx, OrganizationKind::Shared);
+        let clustered = run(idx, OrganizationKind::LocoCc);
+        let loco = run(idx, OrganizationKind::LocoCcVmsIvr);
         println!(
             "{:<5} {:>11}{:>11} {:>11}{:>11} {:>11}{:>11}",
-            workload.name(),
+            MultiProgramWorkload::table2_entry(idx).name(),
             shared.runtime_cycles,
             shared.offchip_accesses,
             clustered.runtime_cycles,

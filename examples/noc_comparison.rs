@@ -8,7 +8,8 @@
 //! cargo run --release -p loco --example noc_comparison
 //! ```
 
-use loco::{Benchmark, OrganizationKind, RouterKind, SimulationBuilder};
+use loco::campaign::run_scenario;
+use loco::{Benchmark, ExperimentParams, OrganizationKind, RouterKind, Scenario};
 
 fn main() {
     let routers = [
@@ -17,6 +18,11 @@ fn main() {
         RouterKind::HighRadix,
     ];
     let benchmark = Benchmark::Barnes;
+    // The 64-core CMP of Table 1 at its unscaled cache capacities.
+    let params = ExperimentParams {
+        working_set_scale: 1,
+        ..ExperimentParams::paper_64().with_mem_ops(800)
+    };
     println!(
         "LOCO (CC+VMS+IVR) under three NoCs — {}, 64 cores\n",
         benchmark.name()
@@ -27,12 +33,14 @@ fn main() {
     );
     let mut smart_runtime = None;
     for router in routers {
-        let r = SimulationBuilder::new()
-            .benchmark(benchmark)
-            .organization(OrganizationKind::LocoCcVmsIvr)
-            .router(router)
-            .memory_ops_per_core(800)
-            .run();
+        let scenario = Scenario::Trace {
+            benchmark,
+            org: OrganizationKind::LocoCcVmsIvr,
+            router,
+            cluster: params.cluster,
+            full_system: false,
+        };
+        let r = run_scenario(&params, scenario);
         assert!(r.completed);
         println!(
             "{:<22} {:>14.2} {:>16.2} {:>14}",

@@ -5,23 +5,26 @@
 //! cargo run --release -p loco --example quickstart
 //! ```
 
-use loco::{Benchmark, EnergyParams, OrganizationKind, SimulationBuilder};
+use loco::campaign::run_scenario;
+use loco::{Benchmark, EnergyParams, ExperimentParams, OrganizationKind, Scenario};
 
 fn main() {
+    // The 64-core CMP of Table 1 at its unscaled cache capacities, with
+    // 1,000 memory operations per core.
+    let params = ExperimentParams {
+        working_set_scale: 1,
+        ..ExperimentParams::paper_64().with_mem_ops(1_000)
+    };
+    let run = |org| {
+        let r = run_scenario(&params, Scenario::default_trace(&params, Benchmark::Lu, org));
+        assert!(r.completed, "{org:?} did not finish within the cycle budget");
+        r
+    };
     // The paper's full LOCO design (clusters + VMS broadcasts + IVR) on the
-    // 64-core CMP of Table 1, replaying the `lu` benchmark model.
-    let loco = SimulationBuilder::new()
-        .benchmark(Benchmark::Lu)
-        .memory_ops_per_core(1_000)
-        .organization(OrganizationKind::LocoCcVmsIvr)
-        .run();
-
-    // The distributed-shared-cache baseline on the same traces.
-    let shared = SimulationBuilder::new()
-        .benchmark(Benchmark::Lu)
-        .memory_ops_per_core(1_000)
-        .organization(OrganizationKind::Shared)
-        .run();
+    // SMART NoC, replaying the `lu` benchmark model, against the
+    // distributed-shared-cache baseline on the same traces.
+    let loco = run(OrganizationKind::LocoCcVmsIvr);
+    let shared = run(OrganizationKind::Shared);
 
     println!("LOCO CC+VMS+IVR vs Shared Cache — lu, 64 cores, SMART NoC");
     println!("----------------------------------------------------------");

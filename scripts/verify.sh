@@ -21,6 +21,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "==> cargo build --workspace --all-targets (tests, examples, reproduce)"
 cargo build --workspace --all-targets --offline
 
+echo "==> examples (release; each asserts that its runs completed)"
+for example in quickstart noc_comparison cluster_size_explorer multiprogram_consolidation; do
+    cargo run --release --offline -q -p loco --example "$example" > "target/example_$example.txt"
+done
+
 echo "==> equivalence suite (event-driven == naive stepping, bit for bit)"
 cargo test -q --offline --test equivalence
 

@@ -2,7 +2,8 @@
 //! SplitMix64 PRNG seams, the same seed must produce bit-identical traces
 //! and bit-identical simulation results on every platform and every run.
 
-use loco::{Benchmark, OrganizationKind, SimResults, SimulationBuilder, TraceGenerator};
+use loco::campaign::run_scenario;
+use loco::{Benchmark, ExperimentParams, OrganizationKind, Scenario, SimResults, TraceGenerator};
 
 /// Two generators with the same seed emit bit-identical traces; a different
 /// seed diverges.
@@ -46,14 +47,16 @@ fn trace_generation_matches_golden_fingerprint() {
 }
 
 fn run_with_seed(seed: u64) -> SimResults {
-    SimulationBuilder::new()
-        .mesh(4, 4)
-        .cluster(2, 2)
-        .organization(OrganizationKind::LocoCcVmsIvr)
-        .benchmark(Benchmark::Barnes)
-        .memory_ops_per_core(300)
-        .seed(seed)
-        .run()
+    // The quick 4x4 mesh at Table-1 cache capacities.
+    let params = ExperimentParams {
+        mem_ops_per_core: 300,
+        seed,
+        working_set_scale: 1,
+        ..ExperimentParams::quick()
+    };
+    let scenario =
+        Scenario::default_trace(&params, Benchmark::Barnes, OrganizationKind::LocoCcVmsIvr);
+    run_scenario(&params, scenario)
 }
 
 /// The full simulation (trace generation, NoC arbitration, IVR victim

@@ -7,27 +7,40 @@
 //! (d) reproduce the headline trend the model exists for: SMART spends far
 //! less router-buffer energy than a conventional hop-by-hop NoC.
 
-use loco::campaign::{CampaignPlan, Executor, FigureSpec};
+use loco::campaign::{run_scenario, CampaignPlan, Executor, FigureSpec};
 use loco::{
-    Benchmark, EnergyBreakdown, EnergyParams, ExperimentParams, Figure, OrganizationKind,
-    RouterKind, SimulationBuilder,
+    Benchmark, ClusterShape, EnergyBreakdown, EnergyParams, ExperimentParams, Figure,
+    OrganizationKind, RouterKind, Scenario, SimResults,
 };
 use std::hash::{BuildHasher, Hash, Hasher};
 
-fn builder(org: OrganizationKind) -> SimulationBuilder {
-    // Mirrors tests/equivalence.rs: small mesh, enough memory ops to
-    // exercise broadcasts, IVR migrations and DRAM traffic.
-    SimulationBuilder::new()
-        .mesh(4, 4)
-        .cluster(2, 2)
-        .organization(org)
-        .benchmark(Benchmark::Barnes)
-        .memory_ops_per_core(300)
-        .seed(11)
+// Mirrors tests/equivalence.rs: small mesh, enough memory ops to exercise
+// broadcasts, IVR migrations and DRAM traffic, at Table-1 cache capacities.
+fn params() -> ExperimentParams {
+    ExperimentParams {
+        mem_ops_per_core: 300,
+        seed: 11,
+        working_set_scale: 1,
+        ..ExperimentParams::quick()
+    }
+}
+
+fn barnes(org: OrganizationKind, router: RouterKind) -> Scenario {
+    Scenario::Trace {
+        benchmark: Benchmark::Barnes,
+        org,
+        router,
+        cluster: ClusterShape::new(2, 2),
+        full_system: false,
+    }
+}
+
+fn run(org: OrganizationKind, router: RouterKind) -> SimResults {
+    run_scenario(&params(), barnes(org, router))
 }
 
 fn breakdown(org: OrganizationKind) -> EnergyBreakdown {
-    EnergyParams::default().breakdown(&builder(org).run())
+    EnergyParams::default().breakdown(&run(org, RouterKind::Smart))
 }
 
 /// An order-sensitive 64-bit fingerprint of a breakdown (all-integer fields,
@@ -56,14 +69,14 @@ fn golden_energy_fingerprint() {
 
 #[test]
 fn energy_is_identical_between_run_and_run_naive() {
-    let params = EnergyParams::default();
+    let energy = EnergyParams::default();
     for org in [
         OrganizationKind::Shared,
         OrganizationKind::LocoCcVmsIvr,
     ] {
-        let b = builder(org);
-        let event = params.breakdown(&b.build().run(8_000_000));
-        let naive = params.breakdown(&b.build().run_naive(8_000_000));
+        let system = || barnes(org, RouterKind::Smart).system(&params());
+        let event = energy.breakdown(&system().run(8_000_000));
+        let naive = energy.breakdown(&system().run_naive(8_000_000));
         // EnergyBreakdown is integer-only (`Eq`): this comparison is exact.
         assert_eq!(event, naive, "{org:?}: energy diverged across run modes");
         assert!(event.total_fj() > 0);
@@ -112,10 +125,8 @@ fn smart_spends_less_buffer_energy_than_conventional() {
     // point: multi-hop bypass keeps flits out of router buffers. Same
     // traces, same organization, only the router changes.
     let energy = EnergyParams::default();
-    let smart = builder(OrganizationKind::LocoCcVms).run();
-    let conv = builder(OrganizationKind::LocoCcVms)
-        .router(RouterKind::Conventional)
-        .run();
+    let smart = run(OrganizationKind::LocoCcVms, RouterKind::Smart);
+    let conv = run(OrganizationKind::LocoCcVms, RouterKind::Conventional);
     let smart_e = energy.network_energy(&smart.network);
     let conv_e = energy.network_energy(&conv.network);
     // On this small 4x4 mesh SMART-hops are short, so the gap is modest but
@@ -136,7 +147,7 @@ fn smart_spends_less_buffer_energy_than_conventional() {
 
 #[test]
 fn overriding_energy_params_scales_the_breakdown() {
-    let results = builder(OrganizationKind::Shared).run();
+    let results = run(OrganizationKind::Shared, RouterKind::Smart);
     let base = EnergyParams::default().breakdown(&results);
     let mut doubled_dram = EnergyParams::default();
     doubled_dram.dram_access_fj *= 2;

@@ -7,8 +7,8 @@
 //! per-component invariants).
 
 use loco::{
-    Benchmark, CmpSystem, ClusterShape, EnergyParams, OrganizationKind, RouterKind, SimResults,
-    SimulationBuilder, SplitMix64, StressKind, SystemConfig, TraceGenerator,
+    Benchmark, CmpSystem, ClusterShape, EnergyParams, ExperimentParams, OrganizationKind,
+    RouterKind, Scenario, SimResults, SplitMix64, StressKind, SystemConfig, TraceGenerator,
 };
 
 const ALL_ORGS: [OrganizationKind; 5] = [
@@ -19,16 +19,28 @@ const ALL_ORGS: [OrganizationKind; 5] = [
     OrganizationKind::LocoCcVmsIvr,
 ];
 
-fn builder(org: OrganizationKind) -> SimulationBuilder {
-    // A small mesh keeps the naive runs fast; 300 memory ops per core is
-    // enough to exercise misses, broadcasts, IVR migrations and retries.
-    SimulationBuilder::new()
-        .mesh(4, 4)
-        .cluster(2, 2)
-        .organization(org)
-        .benchmark(Benchmark::Barnes)
-        .memory_ops_per_core(300)
-        .seed(11)
+/// A small mesh keeps the naive runs fast; 300 memory ops per core is
+/// enough to exercise misses, broadcasts, IVR migrations and retries.
+/// Caches are at their Table-1 capacities.
+fn params(seed: u64, mem_ops_per_core: u64) -> ExperimentParams {
+    ExperimentParams {
+        mem_ops_per_core,
+        seed,
+        working_set_scale: 1,
+        ..ExperimentParams::quick()
+    }
+}
+
+/// Barnes, 300 memory ops per core at seed 11.
+fn barnes(org: OrganizationKind, router: RouterKind) -> CmpSystem {
+    Scenario::Trace {
+        benchmark: Benchmark::Barnes,
+        org,
+        router,
+        cluster: ClusterShape::new(2, 2),
+        full_system: false,
+    }
+    .system(&params(11, 300))
 }
 
 /// Bit-exact comparison of the full counter set, not just the latency
@@ -63,9 +75,8 @@ fn assert_identical(label: &str, event: &SimResults, naive: &SimResults) {
 #[test]
 fn every_organization_is_equivalent_under_cycle_skipping() {
     for org in ALL_ORGS {
-        let b = builder(org);
-        let event = b.build().run(8_000_000);
-        let naive = b.build().run_naive(8_000_000);
+        let event = barnes(org, RouterKind::Smart).run(8_000_000);
+        let naive = barnes(org, RouterKind::Smart).run_naive(8_000_000);
         assert!(event.completed, "{org:?} must complete");
         assert_identical(&format!("{org:?}"), &event, &naive);
     }
@@ -74,9 +85,8 @@ fn every_organization_is_equivalent_under_cycle_skipping() {
 #[test]
 fn every_router_kind_is_equivalent_under_cycle_skipping() {
     for router in [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix] {
-        let b = builder(OrganizationKind::LocoCcVms).router(router);
-        let event = b.build().run(8_000_000);
-        let naive = b.build().run_naive(8_000_000);
+        let event = barnes(OrganizationKind::LocoCcVms, router).run(8_000_000);
+        let naive = barnes(OrganizationKind::LocoCcVms, router).run_naive(8_000_000);
         assert!(event.completed, "{router:?} must complete");
         assert_identical(&format!("{router:?}"), &event, &naive);
     }
@@ -87,16 +97,15 @@ fn full_system_barrier_mode_is_equivalent_under_cycle_skipping() {
     // Barriers are the subtlest case: a waiting core's arrival registration
     // must happen on exactly the same cycle in both modes, and a core parked
     // at an announced barrier must be skippable without losing the release.
-    let b = SimulationBuilder::new()
-        .mesh(4, 4)
-        .cluster(2, 2)
-        .organization(OrganizationKind::LocoCcVms)
-        .benchmark(Benchmark::Fft)
-        .memory_ops_per_core(250)
-        .full_system(true)
-        .seed(23);
-    let event = b.build().run(8_000_000);
-    let naive = b.build().run_naive(8_000_000);
+    let scenario = Scenario::Trace {
+        benchmark: Benchmark::Fft,
+        org: OrganizationKind::LocoCcVms,
+        router: RouterKind::Smart,
+        cluster: ClusterShape::new(2, 2),
+        full_system: true,
+    };
+    let event = scenario.system(&params(23, 250)).run(8_000_000);
+    let naive = scenario.system(&params(23, 250)).run_naive(8_000_000);
     assert!(event.completed, "barrier workload must not deadlock");
     assert_identical("full-system barriers", &event, &naive);
 }
@@ -124,8 +133,7 @@ fn cycle_skipping_actually_skips_dead_cycles() {
     // Guard against the scheduler silently degenerating into the naive loop:
     // on a memory-bound run the event-driven mode must fast-forward at least
     // some DRAM dead time.
-    let b = builder(OrganizationKind::Shared);
-    let mut event = b.build();
+    let mut event = barnes(OrganizationKind::Shared, RouterKind::Smart);
     event.run(8_000_000);
     assert!(
         event.steps_executed() < event.cycle(),
@@ -133,7 +141,7 @@ fn cycle_skipping_actually_skips_dead_cycles() {
         event.steps_executed(),
         event.cycle()
     );
-    let mut naive = b.build();
+    let mut naive = barnes(OrganizationKind::Shared, RouterKind::Smart);
     naive.run_naive(8_000_000);
     assert_eq!(
         naive.steps_executed(),
@@ -147,9 +155,8 @@ fn truncated_runs_stop_on_the_same_cycle() {
     // A cycle budget that expires mid-flight must leave both modes in the
     // same observable state (runtime clamped to the budget, partial stats
     // identical).
-    let b = builder(OrganizationKind::LocoCcVmsIvr);
-    let event = b.build().run(900);
-    let naive = b.build().run_naive(900);
+    let event = barnes(OrganizationKind::LocoCcVmsIvr, RouterKind::Smart).run(900);
+    let naive = barnes(OrganizationKind::LocoCcVmsIvr, RouterKind::Smart).run_naive(900);
     assert!(!event.completed, "budget chosen to interrupt the run");
     assert_eq!(event.runtime_cycles, 900);
     assert_identical("truncated run", &event, &naive);
@@ -163,8 +170,7 @@ fn truncated_runs_stop_on_the_same_cycle() {
 /// stretched DRAM latency for the DRAM-bound kind), as a raw [`CmpSystem`]
 /// so tests can read the scheduler's skip diagnostics.
 fn stress_system(kind: StressKind, router: RouterKind, mem_ops: u64) -> CmpSystem {
-    let params = loco::ExperimentParams::quick().with_mem_ops(mem_ops);
-    loco::campaign::stall_stress_system(&params, kind, router)
+    Scenario::StallStress { kind, router }.system(&ExperimentParams::quick().with_mem_ops(mem_ops))
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! visibility, invalidation of sharers, IVR chains — independent of network
 //! timing.
 
-use loco::{Benchmark, OrganizationKind, SimulationBuilder};
+use loco::{Benchmark, OrganizationKind, SystemConfig};
 use loco_cache::{
     Address, ClusterShape, DirectoryConfig, DirectoryController, L1Controller, L2Config,
     L2Controller, MemoryConfig, MemoryController, MemoryMap, MoesiState, Organization,
@@ -233,13 +233,12 @@ fn ivr_full_simulation_preserves_forward_progress_under_pressure() {
     // System-level check (through the real NoC): a capacity-thrashing
     // benchmark with IVR still completes and produces migrations. The L2
     // slice is shrunk to 4 KB so the short trace already overflows it.
-    let builder = SimulationBuilder::new()
-        .mesh(4, 4)
-        .cluster(2, 2)
-        .benchmark(Benchmark::Canneal)
-        .organization(OrganizationKind::LocoCcVmsIvr)
-        .memory_ops_per_core(300);
-    let mut cfg = builder.system_config();
+    let mut cfg = SystemConfig {
+        mesh_width: 4,
+        mesh_height: 4,
+        cluster: ClusterShape::new(2, 2),
+        ..SystemConfig::asplos_64(OrganizationKind::LocoCcVmsIvr)
+    };
     cfg.l2.geometry.size_bytes = 4 * 1024;
     let spec = Benchmark::Canneal.spec();
     let traces = loco::TraceGenerator::new(42).generate(&spec, cfg.num_cores(), 300);

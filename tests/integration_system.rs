@@ -3,18 +3,32 @@
 //! organizations that every figure of the paper relies on, and the
 //! design-knob ablations of DESIGN §7.
 
+use loco::campaign::run_scenario;
 use loco::{
-    Benchmark, CmpSystem, OrganizationKind, RouterKind, SimResults, SimulationBuilder,
-    SystemConfig, TraceGenerator,
+    Benchmark, ClusterShape, CmpSystem, ExperimentParams, OrganizationKind, RouterKind, Scenario,
+    SimResults, SystemConfig, TraceGenerator,
 };
 
-fn run_64(benchmark: Benchmark, org: OrganizationKind, mem_ops: u64) -> loco::SimResults {
-    let r = SimulationBuilder::new()
-        .benchmark(benchmark)
-        .organization(org)
-        .memory_ops_per_core(mem_ops)
-        .run();
-    assert!(r.completed, "{org:?} on {benchmark:?} did not complete");
+/// `benchmark` on the paper's 64-core CMP with Table-1 cache capacities.
+fn run_64(
+    benchmark: Benchmark,
+    org: OrganizationKind,
+    router: RouterKind,
+    mem_ops: u64,
+) -> SimResults {
+    let params = ExperimentParams {
+        working_set_scale: 1,
+        ..ExperimentParams::paper_64().with_mem_ops(mem_ops)
+    };
+    let scenario = Scenario::Trace {
+        benchmark,
+        org,
+        router,
+        cluster: params.cluster,
+        full_system: false,
+    };
+    let r = run_scenario(&params, scenario);
+    assert!(r.completed, "{} did not complete", scenario.label());
     r
 }
 
@@ -27,7 +41,7 @@ fn all_five_organizations_complete_on_the_64_core_cmp() {
         OrganizationKind::LocoCcVms,
         OrganizationKind::LocoCcVmsIvr,
     ] {
-        let r = run_64(Benchmark::Blackscholes, org, 200);
+        let r = run_64(Benchmark::Blackscholes, org, RouterKind::Smart, 200);
         assert!(r.runtime_cycles > 0);
         assert!(r.instructions >= 64 * 200);
         assert!(r.cache.l1_accesses >= 64 * 200);
@@ -37,9 +51,9 @@ fn all_five_organizations_complete_on_the_64_core_cmp() {
 #[test]
 fn loco_l2_hit_latency_sits_between_private_and_shared() {
     // Figure 7: private < LOCO << shared for L2 hit latency.
-    let private = run_64(Benchmark::Lu, OrganizationKind::Private, 400);
-    let loco = run_64(Benchmark::Lu, OrganizationKind::LocoCcVmsIvr, 400);
-    let shared = run_64(Benchmark::Lu, OrganizationKind::Shared, 400);
+    let private = run_64(Benchmark::Lu, OrganizationKind::Private, RouterKind::Smart, 400);
+    let loco = run_64(Benchmark::Lu, OrganizationKind::LocoCcVmsIvr, RouterKind::Smart, 400);
+    let shared = run_64(Benchmark::Lu, OrganizationKind::Shared, RouterKind::Smart, 400);
     assert!(
         private.avg_l2_hit_latency < loco.avg_l2_hit_latency,
         "private {:.2} < loco {:.2}",
@@ -57,8 +71,8 @@ fn loco_l2_hit_latency_sits_between_private_and_shared() {
 #[test]
 fn loco_runtime_beats_the_shared_baseline_on_neighbor_benchmarks() {
     // Figure 11: LOCO reduces run time relative to the shared cache.
-    let shared = run_64(Benchmark::Lu, OrganizationKind::Shared, 400);
-    let loco = run_64(Benchmark::Lu, OrganizationKind::LocoCcVmsIvr, 400);
+    let shared = run_64(Benchmark::Lu, OrganizationKind::Shared, RouterKind::Smart, 400);
+    let loco = run_64(Benchmark::Lu, OrganizationKind::LocoCcVmsIvr, RouterKind::Smart, 400);
     assert!(
         loco.runtime_cycles < shared.runtime_cycles,
         "LOCO {} should beat shared {}",
@@ -69,7 +83,7 @@ fn loco_runtime_beats_the_shared_baseline_on_neighbor_benchmarks() {
 
 #[test]
 fn vms_broadcasts_and_remote_hits_occur_on_shared_data() {
-    let loco = run_64(Benchmark::Barnes, OrganizationKind::LocoCcVms, 400);
+    let loco = run_64(Benchmark::Barnes, OrganizationKind::LocoCcVms, RouterKind::Smart, 400);
     assert!(loco.cache.broadcasts > 0);
     assert!(loco.cache.remote_hits > 0);
     assert!(loco.avg_search_delay > 0.0);
@@ -78,19 +92,8 @@ fn vms_broadcasts_and_remote_hits_occur_on_shared_data() {
 #[test]
 fn smart_noc_outperforms_conventional_noc_for_loco() {
     // Figure 13: LOCO + SMART vs LOCO + conventional NoC.
-    let smart = SimulationBuilder::new()
-        .benchmark(Benchmark::Barnes)
-        .organization(OrganizationKind::LocoCcVmsIvr)
-        .router(RouterKind::Smart)
-        .memory_ops_per_core(300)
-        .run();
-    let conv = SimulationBuilder::new()
-        .benchmark(Benchmark::Barnes)
-        .organization(OrganizationKind::LocoCcVmsIvr)
-        .router(RouterKind::Conventional)
-        .memory_ops_per_core(300)
-        .run();
-    assert!(smart.completed && conv.completed);
+    let run = |router| run_64(Benchmark::Barnes, OrganizationKind::LocoCcVmsIvr, router, 300);
+    let (smart, conv) = (run(RouterKind::Smart), run(RouterKind::Conventional));
     assert!(smart.avg_l2_hit_latency < conv.avg_l2_hit_latency);
     assert!(smart.runtime_cycles < conv.runtime_cycles);
 }
@@ -99,26 +102,20 @@ fn smart_noc_outperforms_conventional_noc_for_loco() {
 fn high_radix_routers_hurt_l2_hit_latency() {
     // Figure 12a: the 4-stage high-radix pipeline raises intra-cluster hit
     // latency above SMART's.
-    let smart = SimulationBuilder::new()
-        .benchmark(Benchmark::Lu)
-        .router(RouterKind::Smart)
-        .memory_ops_per_core(300)
-        .run();
-    let hr = SimulationBuilder::new()
-        .benchmark(Benchmark::Lu)
-        .router(RouterKind::HighRadix)
-        .memory_ops_per_core(300)
-        .run();
+    let run = |router| run_64(Benchmark::Lu, OrganizationKind::LocoCcVmsIvr, router, 300);
+    let (smart, hr) = (run(RouterKind::Smart), run(RouterKind::HighRadix));
     assert!(smart.avg_l2_hit_latency < hr.avg_l2_hit_latency);
 }
 
 #[test]
 fn the_256_core_configuration_runs() {
-    let r = SimulationBuilder::new()
-        .mesh(16, 16)
-        .benchmark(Benchmark::Blackscholes)
-        .memory_ops_per_core(60)
-        .run();
+    let params = ExperimentParams {
+        working_set_scale: 1,
+        ..ExperimentParams::paper_256().with_mem_ops(60)
+    };
+    let scenario =
+        Scenario::default_trace(&params, Benchmark::Blackscholes, OrganizationKind::LocoCcVmsIvr);
+    let r = run_scenario(&params, scenario);
     assert!(r.completed);
     assert!(r.instructions >= 256 * 60);
 }
@@ -132,11 +129,14 @@ fn ablation_run(cfg: SystemConfig) -> SimResults {
     r
 }
 
-fn loco_config(mesh: u16, cluster: u16) -> SimulationBuilder {
-    SimulationBuilder::new()
-        .mesh(mesh, mesh)
-        .cluster(cluster, cluster)
-        .organization(OrganizationKind::LocoCcVmsIvr)
+/// Full LOCO on a `mesh` x `mesh` SMART mesh with square clusters.
+fn loco_config(mesh: u16, cluster: u16) -> SystemConfig {
+    SystemConfig {
+        mesh_width: mesh,
+        mesh_height: mesh,
+        cluster: ClusterShape::new(cluster, cluster),
+        ..SystemConfig::asplos_64(OrganizationKind::LocoCcVmsIvr)
+    }
 }
 
 /// The design knobs the paper fixes (DESIGN §7), swept below the campaign's
@@ -149,7 +149,7 @@ fn design_knob_ablations_on_simulated_cycles() {
     // slowest, and no XY path has more than 3 hops per dimension, so 4 and
     // 8 cover every path alike and are bit-identical.
     let hpc = |hpc_max: u16| {
-        let mut cfg = loco_config(4, 2).system_config();
+        let mut cfg = loco_config(4, 2);
         cfg.hpc_max = hpc_max;
         ablation_run(cfg)
     };
@@ -171,7 +171,7 @@ fn design_knob_ablations_on_simulated_cycles() {
     // and denies none, so every threshold gives the same run: the knob's
     // sensitivity cannot be seen at this scale.
     let ivr = |threshold: u8| {
-        let mut cfg = loco_config(4, 2).system_config();
+        let mut cfg = loco_config(4, 2);
         cfg.l2.ivr_threshold = threshold;
         ablation_run(cfg)
     };
@@ -184,7 +184,7 @@ fn design_knob_ablations_on_simulated_cycles() {
     // SMART vs conventional on the 8x8 mesh: SMART's advantage never
     // shrinks as clusters grow from 2x2 to 4x4 to 8x8.
     let gap = |cluster: u16| {
-        let run = |router| ablation_run(loco_config(8, cluster).router(router).system_config());
+        let run = |router| ablation_run(loco_config(8, cluster).with_router(router));
         let conv = run(RouterKind::Conventional);
         conv.runtime_normalized_to(&run(RouterKind::Smart))
     };

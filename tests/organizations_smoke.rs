@@ -2,7 +2,25 @@
 //! 4x4-mesh workload to completion (no deadlock), execute real memory
 //! traffic, and advance its cycle count monotonically.
 
-use loco::{Benchmark, OrganizationKind, SimulationBuilder};
+use loco::campaign::run_scenario;
+use loco::{Benchmark, ExperimentParams, OrganizationKind, Scenario};
+
+/// `benchmark` under `org` on a 4x4 mesh with 2x2 clusters and Table-1
+/// cache capacities.
+fn on_4x4(
+    benchmark: Benchmark,
+    org: OrganizationKind,
+    mem_ops_per_core: u64,
+    seed: u64,
+) -> (ExperimentParams, Scenario) {
+    let params = ExperimentParams {
+        mem_ops_per_core,
+        seed,
+        working_set_scale: 1,
+        ..ExperimentParams::quick()
+    };
+    (params, Scenario::default_trace(&params, benchmark, org))
+}
 
 const ALL_ORGANIZATIONS: [OrganizationKind; 5] = [
     OrganizationKind::Private,
@@ -15,17 +33,11 @@ const ALL_ORGANIZATIONS: [OrganizationKind; 5] = [
 #[test]
 fn every_organization_runs_to_completion_on_a_4x4_mesh() {
     for org in ALL_ORGANIZATIONS {
-        let builder = SimulationBuilder::new()
-            .mesh(4, 4)
-            .cluster(2, 2)
-            .organization(org)
-            .benchmark(Benchmark::Lu)
-            .memory_ops_per_core(250)
-            .seed(1);
+        let (params, scenario) = on_4x4(Benchmark::Lu, org, 250, 1);
 
         // Drive the system step by step so the cycle counter itself is
         // under test, with a hard cap standing in for deadlock detection.
-        let mut system = builder.build();
+        let mut system = scenario.system(&params);
         let mut last_cycle = system.cycle();
         let mut steps = 0u64;
         while !system.all_finished() {
@@ -71,14 +83,8 @@ fn organizations_differ_in_behavior_not_just_labels() {
     // off-chip traffic and runtime across them for one workload.
     let mut signatures = Vec::new();
     for org in ALL_ORGANIZATIONS {
-        let r = SimulationBuilder::new()
-            .mesh(4, 4)
-            .cluster(2, 2)
-            .organization(org)
-            .benchmark(Benchmark::Barnes)
-            .memory_ops_per_core(400)
-            .seed(3)
-            .run();
+        let (params, scenario) = on_4x4(Benchmark::Barnes, org, 400, 3);
+        let r = run_scenario(&params, scenario);
         assert!(r.completed, "{org:?}");
         signatures.push((org, r.runtime_cycles, r.offchip_accesses));
     }
