@@ -149,7 +149,7 @@ pub fn figure_specs(scale: Scale, numbers: &[u32], benchmarks: Option<&[Benchmar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loco::CampaignPlan;
+    use loco::{CampaignPlan, Scenario};
 
     #[test]
     fn scale_parsing() {
@@ -176,13 +176,13 @@ mod tests {
 
     /// The size of every figure's plan (distinct scenarios), and of the
     /// whole campaign, as `reproduce` runs it at the quick and paper64
-    /// scales. Planning runs no simulation, so this pins all 152 paper64
+    /// scales. Planning runs no simulation, so this pins all 128 paper64
     /// scenarios for free.
     #[test]
     fn plan_sizes_per_figure_are_pinned() {
         for (scale, sizes, total) in [
-            (Scale::Quick, [6, 9, 6, 6, 9, 12, 12, 12, 15, 6, 8, 15, 12, 6], 47),
-            (Scale::Cores64, [16, 24, 16, 16, 24, 32, 32, 32, 40, 30, 44, 40, 32, 6], 152),
+            (Scale::Quick, [6, 9, 6, 6, 9, 12, 12, 12, 15, 6, 8, 15, 12, 6], 43),
+            (Scale::Cores64, [16, 24, 16, 16, 24, 32, 32, 32, 40, 30, 44, 40, 32, 6], 128),
         ] {
             let params = scale.params();
             let specs = figure_specs(scale, &FIGURE_NUMBERS.collect::<Vec<_>>(), None);
@@ -194,6 +194,38 @@ mod tests {
                 campaign.add_figure(spec, &params);
             }
             assert_eq!(campaign.len(), total, "campaign at {scale:?}");
+        }
+    }
+
+    /// Known gap (DESIGN §9): at the campaign's trace lengths no fig16
+    /// trace reaches a barrier, so Figure 16 is trace mode under another
+    /// label. The reads of trace-driven-suite benchmarks are the very
+    /// machines figs 06–15 read, and are read under their key; the rest keep
+    /// their full-system key. A model change that makes these runs
+    /// synchronize fails this loudly.
+    #[test]
+    fn fig16_reads_trace_mode_machines_at_quick_and_paper64() {
+        for (scale, reads, twins) in [(Scale::Quick, 8, 4), (Scale::Cores64, 44, 24)] {
+            let params = scale.params();
+            let mut fig16 = CampaignPlan::new();
+            fig16.add_figure(&figure_spec(scale, 16, None).expect("fig16"), &params);
+            assert_eq!(fig16.len(), reads, "{scale:?}");
+            let mut earlier = CampaignPlan::new();
+            for spec in figure_specs(scale, &(6..=15).collect::<Vec<_>>(), None) {
+                earlier.add_figure(&spec, &params);
+            }
+            let mut shared = 0;
+            for s in fig16.scenarios() {
+                let Scenario::Trace { benchmark, full_system, .. } = *s else {
+                    panic!("fig16 reads only trace scenarios: {}", s.label())
+                };
+                let barriers = benchmark.spec().barriers_per_thread(params.mem_ops_per_core);
+                assert_eq!(barriers, 0, "{scale:?}: {}", s.label());
+                let read_earlier = earlier.scenarios().contains(s);
+                assert_eq!(full_system, !read_earlier, "{scale:?}: {}", s.label());
+                shared += usize::from(!full_system);
+            }
+            assert_eq!(shared, twins, "{scale:?}: fig16 reads also read by figs 06-15");
         }
     }
 

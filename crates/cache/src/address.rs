@@ -109,7 +109,7 @@ mod tests {
             let l = LineAddr(raw);
             let rebuilt = (l.tag(hnid_bits, sets) * sets as u64 + l.set_index(hnid_bits, sets) as u64)
                 << hnid_bits
-                | l.hnid(hnid_bits as u32);
+                | l.hnid(hnid_bits);
             assert_eq!(rebuilt, raw);
         }
     }

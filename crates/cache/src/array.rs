@@ -26,7 +26,7 @@ impl CacheGeometry {
     pub fn sets(&self) -> usize {
         let lines = (self.size_bytes / self.line_bytes as u64) as usize;
         assert!(
-            lines >= self.ways && lines % self.ways == 0,
+            lines >= self.ways && lines.is_multiple_of(self.ways),
             "cache of {} bytes with {}-byte lines cannot be {}-way",
             self.size_bytes,
             self.line_bytes,

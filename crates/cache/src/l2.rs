@@ -1265,7 +1265,7 @@ mod tests {
         let mut out = Vec::new();
         l2.handle(
             ProtocolMsg {
-                addr: LineAddr(99 * sets << 4),
+                addr: LineAddr((99 * sets) << 4),
                 kind: MsgKind::IvrMigrate {
                     state: MoesiState::M,
                     last_access: 10,
@@ -1286,7 +1286,7 @@ mod tests {
         let mut out = Vec::new();
         l2.handle(
             ProtocolMsg {
-                addr: LineAddr(98 * sets << 4),
+                addr: LineAddr((98 * sets) << 4),
                 kind: MsgKind::IvrMigrate {
                     state: MoesiState::M,
                     last_access: 10,

@@ -104,7 +104,7 @@ impl Organization {
             "loco() requires a LOCO organization kind"
         );
         assert!(
-            mesh.width() % cluster.w == 0 && mesh.height() % cluster.h == 0,
+            mesh.width().is_multiple_of(cluster.w) && mesh.height().is_multiple_of(cluster.h),
             "cluster {}x{} must evenly tile the {}x{} mesh",
             cluster.w,
             cluster.h,

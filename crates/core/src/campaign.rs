@@ -11,6 +11,9 @@
 //!    results and records every scenario it reads. Scenarios from several
 //!    figures are deduplicated into one [`CampaignPlan`] (composing fig06
 //!    and fig11 over the same matrix enumerates each shared scenario once).
+//!    A full-system read whose traces reach no barrier is the same machine
+//!    as its trace-mode twin; where the trace figures read that twin, it
+//!    is read under the twin's key and simulated once (DESIGN.md §8).
 //! 2. **Execute** — an [`Executor`] shards the plan across
 //!    `std::thread::scope` workers pulling jobs from an atomic index. Each
 //!    worker constructs its own `TraceGenerator` and `CmpSystem` (every
@@ -708,13 +711,20 @@ impl FigureSpec {
     ) -> Vec<Figure> {
         use OrganizationKind::{LocoCc, LocoCcVms, LocoCcVmsIvr, Private, Shared};
         let p = params.label();
-        let trace = |benchmark, org, router, cluster, full_system| {
+        // A full-system trace that reaches no barrier is the plain trace,
+        // and the system reads `full_system` only at a barrier, so such a
+        // run is its trace-mode twin. For a benchmark of the trace-driven
+        // suite the trace figures read that twin already: read it under
+        // their key, and the machine is simulated once (DESIGN §8).
+        let trace = |benchmark: Benchmark, org, router, cluster, full_system: bool| {
+            let twin_is_read = Benchmark::TRACE_DRIVEN.contains(&benchmark)
+                && benchmark.spec().barriers_per_thread(params.mem_ops_per_core) == 0;
             get(&Scenario::Trace {
                 benchmark,
                 org,
                 router,
                 cluster,
-                full_system,
+                full_system: full_system && !twin_is_read,
             })
         };
         let at = |b, org| get(&Scenario::default_trace(params, b, org));
@@ -1259,6 +1269,52 @@ mod tests {
                 "{}",
                 scenario.label()
             );
+        }
+    }
+
+    /// Why a barrier-free full-system read may be read as its trace-mode
+    /// twin: the two systems are the same machine.
+    #[test]
+    fn a_barrier_free_full_system_run_is_its_trace_twin() {
+        let params = quick();
+        assert_eq!(Benchmark::Lu.spec().barriers_per_thread(params.mem_ops_per_core), 0);
+        let lu = |full_system| Scenario::Trace {
+            benchmark: Benchmark::Lu,
+            org: OrganizationKind::LocoCcVmsIvr,
+            router: RouterKind::Smart,
+            cluster: params.cluster,
+            full_system,
+        };
+        assert_eq!(
+            format!("{:?}", lu(true).system(&params).run(params.max_cycles)),
+            format!("{:?}", lu(false).system(&params).run(params.max_cycles))
+        );
+    }
+
+    /// A full-system read is read under its trace-mode twin's key only when
+    /// its traces reach no barrier and the benchmark is one the trace
+    /// figures read. lu's barrier interval is 4,000 memory ops,
+    /// blackscholes' 50,000; fft is not in the trace-driven suite.
+    #[test]
+    fn full_system_reads_keep_their_key_unless_the_twin_is_read() {
+        // Whether each benchmark's reads keep `full_system` at 200 and at
+        // 4,000 mem-ops/core.
+        let keeps = [
+            (Benchmark::Lu, [false, true]),
+            (Benchmark::Blackscholes, [false, false]),
+            (Benchmark::Fft, [true, true]),
+        ];
+        let spec = FigureSpec::Fig16 {
+            benchmarks: keeps.iter().map(|&(b, _)| b).collect(),
+        };
+        for (i, mem_ops) in [200, 4_000].into_iter().enumerate() {
+            for s in spec.enumerate(&quick().with_mem_ops(mem_ops)) {
+                let Scenario::Trace { benchmark, full_system, .. } = s else {
+                    panic!("fig16 reads only trace scenarios: {}", s.label())
+                };
+                let (_, keep) = keeps.iter().find(|&&(b, _)| b == benchmark).expect("fig16 reads");
+                assert_eq!(full_system, keep[i], "{} at {mem_ops} mem-ops", s.label());
+            }
         }
     }
 

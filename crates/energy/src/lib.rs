@@ -435,9 +435,11 @@ mod tests {
 
     #[test]
     fn edp_normalization_is_a_plain_ratio() {
-        let mut a = EnergyBreakdown::default();
-        a.dram_fj = 100;
-        a.runtime_cycles = 10;
+        let a = EnergyBreakdown {
+            dram_fj: 100,
+            runtime_cycles: 10,
+            ..EnergyBreakdown::default()
+        };
         let mut b = a;
         b.dram_fj = 200;
         b.runtime_cycles = 20;
@@ -476,9 +478,14 @@ mod tests {
     #[should_panic(expected = "energy accumulation overflowed u64 fJ")]
     fn overflowing_totals_panic_instead_of_wrapping() {
         // Two subsystem totals that individually fit but jointly wrap.
-        let mut b = EnergyBreakdown::default();
-        b.dram_fj = u64::MAX - 5;
-        b.cache.l1_fj = 10;
+        let b = EnergyBreakdown {
+            dram_fj: u64::MAX - 5,
+            cache: CacheEnergy {
+                l1_fj: 10,
+                ..CacheEnergy::default()
+            },
+            ..EnergyBreakdown::default()
+        };
         let _ = b.total_fj();
     }
 

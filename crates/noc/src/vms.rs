@@ -39,8 +39,8 @@ impl VirtualMesh {
         assert!(
             cluster_w > 0
                 && cluster_h > 0
-                && mesh.width() % cluster_w == 0
-                && mesh.height() % cluster_h == 0,
+                && mesh.width().is_multiple_of(cluster_w)
+                && mesh.height().is_multiple_of(cluster_h),
             "clusters of {cluster_w}x{cluster_h} must evenly tile the {}x{} mesh",
             mesh.width(),
             mesh.height()

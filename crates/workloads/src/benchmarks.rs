@@ -419,6 +419,14 @@ impl BenchmarkSpec {
         self
     }
 
+    /// Barriers each thread's full-system trace of `mem_ops` memory ops
+    /// holds: [`TraceGenerator`](crate::TraceGenerator) emits one after
+    /// every `barrier_interval`-th op. At 0, a full-system trace is the
+    /// plain trace, op for op.
+    pub fn barriers_per_thread(&self, mem_ops: u64) -> u64 {
+        mem_ops / self.barrier_interval
+    }
+
     /// Total per-thread footprint in lines (private + its view of shared).
     pub fn footprint_lines(&self) -> u64 {
         self.private_lines + self.shared_lines

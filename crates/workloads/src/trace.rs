@@ -388,15 +388,26 @@ mod tests {
         assert_eq!(t0.intersection(&t8).count(), 0);
     }
 
+    /// Plain traces hold no barrier; full-system traces hold exactly
+    /// `BenchmarkSpec::barriers_per_thread`, and one without a barrier is
+    /// the plain trace (barriers draw nothing from the RNG).
     #[test]
     fn barriers_only_in_fullsystem_mode() {
-        let spec = Benchmark::Fft.spec(); // barrier_interval 2500
-        let plain = TraceGenerator::new(1).generate(&spec, 2, 5_000);
-        assert_eq!(plain[0].barriers(), 0);
-        let fs = TraceGenerator::new(1)
-            .with_barriers(true)
-            .generate(&spec, 2, 5_000);
-        assert_eq!(fs[0].barriers(), 2);
+        let pairs = [(8, 100), (100, 99), (100, 100), (100, 101), (2_500, 2_000), (2_500, 5_000)];
+        for (interval, mem_ops) in pairs {
+            let spec = Benchmark::Fft.spec().barrier_interval(interval);
+            let plain = TraceGenerator::new(1).generate(&spec, 2, mem_ops);
+            let fs = TraceGenerator::new(1).with_barriers(true).generate(&spec, 2, mem_ops);
+            let expected = spec.barriers_per_thread(mem_ops);
+            for (p, f) in plain.iter().zip(&fs) {
+                assert_eq!(p.barriers(), 0);
+                assert_eq!(f.barriers(), expected, "interval {interval}, {mem_ops} ops");
+            }
+            if expected == 0 {
+                assert_eq!(fs, plain, "interval {interval}, {mem_ops} ops");
+            }
+        }
+        assert_eq!(Benchmark::Fft.spec().barriers_per_thread(5_000), 2);
     }
 
     #[test]

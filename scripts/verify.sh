@@ -21,6 +21,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "==> cargo build --workspace --all-targets (tests, examples, reproduce)"
 cargo build --workspace --all-targets --offline
 
+echo "==> cargo clippy --workspace --all-targets (every lint warning is an error)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "==> examples (release; each asserts that its runs completed)"
 for example in quickstart noc_comparison cluster_size_explorer multiprogram_consolidation; do
     cargo run --release --offline -q -p loco --example "$example" > "target/example_$example.txt"
@@ -70,7 +73,7 @@ if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml 
     echo "stall16 did not reproduce its recorded fingerprints"; cat target/stall16_err.txt; exit 1
 fi
 
-echo "==> paper64 campaign benchmark (152 scenarios on 2 workers; recorded per-scenario fingerprints must match)"
+echo "==> paper64 campaign benchmark (152 figure reads, 128 simulations on 2 workers; recorded per-scenario fingerprints must match)"
 if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload campaign_paper64 --seed 42 --seconds 1 --trace 0 > target/campaign_paper64.txt 2>target/campaign_paper64_err.txt \
     || ! tail -n 1 target/campaign_paper64.txt | grep -q '"correct": true'; then

@@ -12,7 +12,7 @@ use loco::{
     Benchmark, ClusterShape, EnergyBreakdown, EnergyParams, ExperimentParams, Figure,
     OrganizationKind, RouterKind, Scenario, SimResults,
 };
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::BuildHasher;
 
 // Mirrors tests/equivalence.rs: small mesh, enough memory ops to exercise
 // broadcasts, IVR migrations and DRAM traffic, at Table-1 cache capacities.
@@ -46,9 +46,7 @@ fn breakdown(org: OrganizationKind) -> EnergyBreakdown {
 /// An order-sensitive 64-bit fingerprint of a breakdown (all-integer fields,
 /// so this is exact).
 fn fingerprint(b: &EnergyBreakdown) -> u64 {
-    let mut h = loco::FxBuildHasher::default().build_hasher();
-    format!("{b:?}").hash(&mut h);
-    h.finish()
+    loco::FxBuildHasher::default().hash_one(format!("{b:?}"))
 }
 
 #[test]
