@@ -129,12 +129,15 @@ impl SharerSet {
 
     /// Iterates over the sharers in increasing node order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..256usize).filter_map(move |i| {
-            if self.bits[i / 64] & (1 << (i % 64)) != 0 {
-                Some(NodeId(i as u16))
-            } else {
-                None
-            }
+        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    NodeId(i as u16)
+                })
+            })
         })
     }
 }
@@ -192,6 +195,30 @@ mod tests {
         assert_eq!(s.len(), 2);
         s.clear();
         assert!(s.is_empty());
+    }
+
+    /// Walking the set bits yields what testing all 256 positions does, in
+    /// the same ascending order.
+    #[test]
+    fn sharer_set_iter_matches_a_scan_of_every_position() {
+        let mut rng = loco_noc::SplitMix64::new(256);
+        let edges = [0, 1, 63, 64, 127, 128, 191, 192, 255];
+        for case in 0..500 {
+            let mut s: SharerSet = match case {
+                0 => SharerSet::new(),
+                1 => edges.iter().map(|&i| NodeId(i)).collect(),
+                2 => (0..256).map(NodeId).collect(),
+                _ => (0..rng.next_below(40))
+                    .map(|_| NodeId(rng.next_below(256) as u16))
+                    .collect(),
+            };
+            if case % 2 == 0 {
+                s.insert(NodeId(edges[case % edges.len()]));
+            }
+            let scan: Vec<NodeId> = (0..256u16).map(NodeId).filter(|&n| s.contains(n)).collect();
+            assert_eq!(s.iter().collect::<Vec<_>>(), scan, "case {case}");
+            assert_eq!(s.iter().count(), s.len());
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::address::LineAddr;
 use crate::msg::{Agent, MsgKind, Outgoing, ProtocolMsg};
 use crate::stats::CacheStats;
 use loco_noc::NodeId;
+use std::collections::VecDeque;
 
 /// Timing parameters of a memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +51,10 @@ pub struct MemoryController {
     node: NodeId,
     cfg: MemoryConfig,
     next_free: u64,
-    pending: Vec<PendingRead>,
-    /// Cached `min(fire_at)` over `pending` (`u64::MAX` when empty), kept
-    /// up to date by `handle`/`tick` so the event-driven scheduler's
-    /// per-step horizon probe is O(1) instead of an O(pending) scan.
-    next_fire: u64,
+    /// Outstanding reads in issue order. A read fires at `max(now,
+    /// next_free) + latency`, which never decreases from one read to the
+    /// next, so this is also firing order: the front fires first.
+    pending: VecDeque<PendingRead>,
     stats: CacheStats,
 }
 
@@ -65,8 +65,7 @@ impl MemoryController {
             node,
             cfg,
             next_free: 0,
-            pending: Vec::new(),
-            next_fire: u64::MAX,
+            pending: VecDeque::new(),
             stats: CacheStats::default(),
         }
     }
@@ -91,16 +90,9 @@ impl MemoryController {
     /// simulation uses this to skip the dead cycles of the 200-cycle DRAM
     /// latency; the caller must step the controller at exactly this cycle,
     /// because that is when the naive per-cycle loop would have released the
-    /// response. O(1): the scheduler probes this every stalled step, so the
-    /// minimum is maintained incrementally by `handle`/`tick` instead of
-    /// being rescanned here.
+    /// response. O(1): the earliest read is the oldest.
     pub fn next_event(&self) -> Option<u64> {
-        debug_assert_eq!(
-            self.next_fire,
-            self.pending.iter().map(|p| p.fire_at).min().unwrap_or(u64::MAX),
-            "cached next_fire out of sync with the pending list"
-        );
-        (self.next_fire != u64::MAX).then_some(self.next_fire)
+        self.pending.front().map(|p| p.fire_at)
     }
 
     /// Handles a protocol message addressed to this memory controller.
@@ -109,13 +101,11 @@ impl MemoryController {
             MsgKind::MemRead => {
                 let start = now.max(self.next_free);
                 self.next_free = start + self.cfg.min_gap;
-                let fire_at = start + self.cfg.latency;
-                self.next_fire = self.next_fire.min(fire_at);
-                self.pending.push(PendingRead {
+                self.pending.push_back(PendingRead {
                     addr: msg.addr,
                     requester_l2: msg.src.node,
                     original: msg,
-                    fire_at,
+                    fire_at: start + self.cfg.latency,
                 });
             }
             MsgKind::MemCancel => {
@@ -125,13 +115,7 @@ impl MemoryController {
                     .iter()
                     .position(|p| p.addr == msg.addr && p.requester_l2 == msg.src.node)
                 {
-                    let removed = self.pending.swap_remove(i);
-                    // Rare path: only rescan if the cancelled fetch could
-                    // have been the cached minimum.
-                    if removed.fire_at == self.next_fire {
-                        self.next_fire =
-                            self.pending.iter().map(|p| p.fire_at).min().unwrap_or(u64::MAX);
-                    }
+                    self.pending.remove(i);
                 }
             }
             MsgKind::MemWb => {
@@ -147,33 +131,18 @@ impl MemoryController {
     /// Releases DRAM responses whose latency has elapsed. The simulator
     /// calls this once per cycle.
     pub fn tick(&mut self, now: u64, out: &mut Vec<Outgoing>) {
-        // O(1) early-out on the cached minimum: nothing fires this cycle.
-        if self.next_fire > now {
-            return;
+        while let Some(p) = self.pending.pop_front_if(|p| p.fire_at <= now) {
+            self.stats.offchip_fetches += 1;
+            out.push(Outgoing::after(
+                0,
+                ProtocolMsg::derived(
+                    &p.original,
+                    MsgKind::MemData,
+                    Agent::mem(self.node),
+                    Agent::l2(p.requester_l2),
+                ),
+            ));
         }
-        let mut i = 0;
-        let mut remaining_min = u64::MAX;
-        while i < self.pending.len() {
-            if self.pending[i].fire_at <= now {
-                let p = self.pending.swap_remove(i);
-                self.stats.offchip_fetches += 1;
-                out.push(Outgoing::after(
-                    0,
-                    ProtocolMsg::derived(
-                        &p.original,
-                        MsgKind::MemData,
-                        Agent::mem(self.node),
-                        Agent::l2(p.requester_l2),
-                    ),
-                ));
-            } else {
-                remaining_min = remaining_min.min(self.pending[i].fire_at);
-                i += 1;
-            }
-        }
-        // The release scan visited every survivor, so the new minimum comes
-        // for free.
-        self.next_fire = remaining_min;
     }
 }
 
@@ -252,6 +221,29 @@ mod tests {
         let late = drain(&mut m, 500);
         assert!(late.is_empty());
         assert_eq!(m.stats().offchip_fetches, 0);
+    }
+
+    /// Cancelling a read in the middle of the queue leaves the others to
+    /// fire in issue order, and `next_event` follows the front.
+    #[test]
+    fn a_cancel_in_the_middle_keeps_the_release_order() {
+        for min_gap in [0, 4] {
+            let mut m = MemoryController::new(NodeId(4), MemoryConfig { latency: 200, min_gap });
+            let mut out = Vec::new();
+            for (addr, l2) in [(1, 10), (2, 11), (3, 12), (4, 13)] {
+                m.handle(read(addr, l2), 0, &mut out);
+            }
+            m.handle(ProtocolMsg { kind: MsgKind::MemCancel, ..read(2, 11) }, 1, &mut out);
+            assert_eq!(m.pending_reads(), 3);
+            assert_eq!(m.next_event(), Some(200));
+            let mut released = Vec::new();
+            while let Some(at) = m.next_event() {
+                m.tick(at, &mut out);
+                released.extend(out.drain(..).map(|o| o.msg.addr.0));
+            }
+            assert_eq!(released, vec![1, 3, 4], "min_gap {min_gap}");
+            assert_eq!(m.stats().offchip_fetches, 3);
+        }
     }
 
     #[test]

@@ -135,7 +135,8 @@ impl Scenario {
     /// Builds this scenario's system at `params`, ready to run or to step
     /// by hand. Caches and working sets shrink together by
     /// `params.working_set_scale` (DESIGN.md §3), and every core replays a
-    /// trace generated from `params.seed`.
+    /// trace generated from `params.seed`. Building generates nothing: each
+    /// core's ops are generated as the run reaches them (DESIGN.md §1).
     ///
     /// * `Trace`: the benchmark on the `params` mesh, one barrier group.
     /// * `MultiProgram`: the Table-2 workload on the SMART NoC, one barrier

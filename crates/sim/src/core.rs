@@ -8,7 +8,7 @@
 
 use loco_cache::{Address, L1Access, L1Controller, Outgoing};
 use loco_noc::NodeId;
-use loco_workloads::{CoreTrace, TraceOp};
+use loco_workloads::{CoreTrace, TraceCursor, TraceOp};
 
 /// What the core did this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,11 +30,14 @@ const BARRIER_FLAG_BASE: u64 = 0x4000_0000_0000;
 #[derive(Debug)]
 pub struct CoreModel {
     node: NodeId,
-    trace: CoreTrace,
+    /// The ops after `op`, generated as they are reached.
+    trace: TraceCursor,
+    /// The op to execute next, or `None` past the end of the trace. A
+    /// retried op (L1 busy) is read from here again.
+    op: Option<TraceOp>,
     /// Barrier group this core belongs to (task id for multi-program
     /// workloads, 0 otherwise).
     group: usize,
-    pc: usize,
     compute_remaining: u32,
     stalled: bool,
     /// Barrier the core is waiting at (set after its flag access returns).
@@ -55,11 +58,12 @@ impl CoreModel {
     /// Creates a core at `node` replaying `trace` as part of barrier
     /// `group`.
     pub fn new(node: NodeId, trace: CoreTrace, group: usize) -> Self {
+        let mut trace = trace.ops();
         CoreModel {
             node,
+            op: trace.next(),
             trace,
             group,
-            pc: 0,
             compute_remaining: 0,
             stalled: false,
             waiting_barrier: None,
@@ -93,6 +97,12 @@ impl CoreModel {
     /// Whether the trace is fully executed.
     pub fn is_finished(&self) -> bool {
         self.finished_at.is_some()
+    }
+
+    /// Retires the current op's first instruction and moves to the next op.
+    fn retire(&mut self) {
+        self.op = self.trace.next();
+        self.instructions += 1;
     }
 
     /// The flag address used for barrier `id` of this core's group.
@@ -163,15 +173,14 @@ impl CoreModel {
             self.instructions += 1;
             return CoreStatus::Running;
         }
-        let Some(op) = self.trace.op(self.pc) else {
+        let Some(op) = self.op else {
             self.finished_at = Some(now);
             return CoreStatus::Finished;
         };
         match op {
             TraceOp::Compute(n) => {
-                self.pc += 1;
                 // The first of the n instructions retires this cycle.
-                self.instructions += 1;
+                self.retire();
                 self.compute_remaining = n.saturating_sub(1);
                 CoreStatus::Running
             }
@@ -179,23 +188,21 @@ impl CoreModel {
                 let is_write = matches!(op, TraceOp::Write(_));
                 match l1.access(Address(addr), is_write, now, out) {
                     L1Access::Hit => {
-                        self.pc += 1;
-                        self.instructions += 1;
+                        self.retire();
                         CoreStatus::Running
                     }
                     L1Access::Miss => {
-                        self.pc += 1;
-                        self.instructions += 1;
+                        self.retire();
                         self.stalled = true;
                         CoreStatus::Stalled
                     }
+                    // Retry the same op next cycle.
                     L1Access::Busy => CoreStatus::Stalled,
                 }
             }
             TraceOp::Barrier(id) => {
-                self.pc += 1;
-                self.instructions += 1;
                 if !model_barriers {
+                    self.retire();
                     return CoreStatus::Running;
                 }
                 // Access the barrier flag line (generates the sharing burst),
@@ -203,21 +210,19 @@ impl CoreModel {
                 let flag = Self::barrier_flag_address(self.group, id);
                 match l1.access(flag, false, now, out) {
                     L1Access::Hit => {
+                        self.retire();
                         self.waiting_barrier = Some(id);
                         self.barrier_announced = true;
                         CoreStatus::AtBarrier(id)
                     }
                     L1Access::Miss => {
+                        self.retire();
                         self.stalled = true;
                         self.barrier_in_flight = Some(id);
                         CoreStatus::Stalled
                     }
-                    L1Access::Busy => {
-                        // Retry the barrier op next cycle.
-                        self.pc -= 1;
-                        self.instructions -= 1;
-                        CoreStatus::Stalled
-                    }
+                    // Retry the barrier op next cycle.
+                    L1Access::Busy => CoreStatus::Stalled,
                 }
             }
         }
@@ -311,6 +316,32 @@ mod tests {
         core.on_barrier_release();
         assert_eq!(core.tick(8, &mut l1, &mut out, true), CoreStatus::Running);
         assert_eq!(core.tick(9, &mut l1, &mut out, true), CoreStatus::Finished);
+    }
+
+    /// While the L1 is busy with another miss, the core re-reads its
+    /// current op each cycle and retires nothing.
+    #[test]
+    fn a_busy_l1_retries_the_same_op() {
+        for (op, model_barriers) in [(TraceOp::Read(0x1000), false), (TraceOp::Barrier(1), true)] {
+            let trace = CoreTrace::from_ops(vec![op, TraceOp::Compute(1)]);
+            let mut core = CoreModel::new(NodeId(0), trace, 0);
+            let mut l1 = l1();
+            let mut out = Vec::new();
+            assert_eq!(l1.access(Address(0x9000), false, 0, &mut out), L1Access::Miss);
+            for now in 1..4 {
+                assert_eq!(core.tick(now, &mut l1, &mut out, model_barriers), CoreStatus::Stalled);
+            }
+            assert_eq!(core.instructions(), 0);
+            fill_l1(&mut l1, 0x9000, 4);
+            out.clear();
+            assert_eq!(core.tick(5, &mut l1, &mut out, model_barriers), CoreStatus::Stalled);
+            let line = match op {
+                TraceOp::Barrier(id) => CoreModel::barrier_flag_address(0, id).line(32),
+                _ => Address(0x1000).line(32),
+            };
+            assert_eq!(out[0].msg.addr, line, "{op:?} is issued once the L1 frees up");
+            assert_eq!(core.instructions(), 1);
+        }
     }
 
     #[test]

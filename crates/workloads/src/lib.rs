@@ -14,11 +14,13 @@
 //! instruction traces ([`trace::TraceOp`]) that the `loco-sim` crate replays
 //! against any cache organization.
 //!
-//! A [`CoreTrace`] stores its ops packed, one 8-byte word each (a 2-bit tag
-//! over a 62-bit address, compute count or barrier id; DESIGN.md §1), since
-//! traces are the simulator's largest block of memory. [`CoreTrace::ops`]
-//! therefore yields decoded `TraceOp` *values*, not references into a
-//! slice, and [`CoreTrace::op`] fetches the op at one program counter.
+//! A generated [`CoreTrace`] is a recipe (seed, thread, benchmark spec,
+//! length), not a list of ops: [`CoreTrace::ops`] replays it through a
+//! [`TraceCursor`] that runs the generator one memory op at a time, so a
+//! trace takes under 1 KB however long it is (DESIGN.md §1). The simulator
+//! pulls each core's ops from such a cursor as they retire;
+//! [`CoreTrace::memory_ops`], [`CoreTrace::barriers`] and
+//! [`CoreTrace::is_empty`] answer from the recipe without replaying.
 //!
 //! The crate also defines the paper's multi-program consolidation workloads
 //! W0–W9 (Table 2) in [`multiprogram`].
@@ -43,4 +45,4 @@ pub mod trace;
 
 pub use benchmarks::{Benchmark, BenchmarkSpec, SharingPattern, StressKind};
 pub use multiprogram::{MultiProgramWorkload, TaskAssignment};
-pub use trace::{CoreTrace, TraceGenerator, TraceOp};
+pub use trace::{CoreTrace, TraceCursor, TraceGenerator, TraceOp};

@@ -122,11 +122,13 @@ impl MultiProgramWorkload {
         out
     }
 
-    /// Generates per-core traces for the whole workload on a `total_cores()`
-    /// CMP, with every task's working set scaled down by `ws_divisor` (1
-    /// keeps it whole; see [`crate::BenchmarkSpec::scaled_down`]). The
-    /// returned vector is indexed by core id; cores outside any task (none,
-    /// for Table 2) receive empty traces.
+    /// The per-core traces of the whole workload on a `total_cores()` CMP,
+    /// with every task's working set scaled down by `ws_divisor` (1 keeps
+    /// it whole; see [`crate::BenchmarkSpec::scaled_down`]). Like
+    /// [`TraceGenerator::generate`], this only records each trace's recipe;
+    /// the ops are generated as they are replayed. The returned vector is
+    /// indexed by core id; cores outside any task (none, for Table 2)
+    /// receive empty traces.
     pub fn generate_traces_scaled(
         &self,
         mem_ops_per_thread: u64,

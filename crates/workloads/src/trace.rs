@@ -27,8 +27,10 @@ const REGION_STRIDE_LINES: u64 = 999_983;
 /// private/neighbour/global layout (which tops out below 2^46).
 const TASK_SHIFT: u32 = 48;
 /// Number of distinct task offsets: `(MAX_TASKS - 1) << TASK_SHIFT` plus the
-/// layout still fits in the 62 address bits of a packed trace op.
-const MAX_TASKS: u64 = 1 << 14;
+/// layout still fits in a 64-bit address.
+const MAX_TASKS: u64 = 1 << (u64::BITS - TASK_SHIFT);
+/// Size of the window of recently touched addresses an access may re-use.
+const REUSE_WINDOW: usize = 64;
 
 /// One replayed instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,102 +57,68 @@ impl TraceOp {
     }
 }
 
-/// Bit position of the 2-bit op tag in a packed trace word.
-const TAG_SHIFT: u32 = 62;
-/// The 62 payload bits of a packed trace word: the address, the compute
-/// count or the barrier id.
-const PAYLOAD_MASK: u64 = (1 << TAG_SHIFT) - 1;
-const TAG_READ: u64 = 0;
-const TAG_WRITE: u64 = 1;
-const TAG_COMPUTE: u64 = 2;
-const TAG_BARRIER: u64 = 3;
+/// The instruction trace of one core.
+///
+/// A generated trace is a recipe, not a list: the generator's seed, task
+/// offset and barrier flag, the benchmark spec, the thread and the number
+/// of memory ops. [`CoreTrace::ops`] replays it from the start, one memory
+/// op at a time, so a trace takes the same few hundred bytes however long
+/// it is. Explicit traces ([`CoreTrace::from_ops`]) keep their ops as given.
+#[derive(Clone, Default)]
+pub struct CoreTrace(Source);
 
-/// One [`TraceOp`] packed into a single word: the tag in the top two bits,
-/// the payload in the low 62. Traces are the simulator's largest block of
-/// memory (cores × ops), so each op takes 8 bytes instead of the enum's 16.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct PackedOp(u64);
+#[derive(Clone)]
+enum Source {
+    Ops(Vec<TraceOp>),
+    Generated(Recipe),
+}
 
-const _: () = assert!(std::mem::size_of::<PackedOp>() == 8);
-
-impl PackedOp {
-    /// Packs `op`.
-    ///
-    /// # Panics
-    ///
-    /// If a read or write address does not fit in 62 bits.
-    fn new(op: TraceOp) -> Self {
-        let (tag, payload) = match op {
-            TraceOp::Read(a) => (TAG_READ, a),
-            TraceOp::Write(a) => (TAG_WRITE, a),
-            TraceOp::Compute(n) => (TAG_COMPUTE, u64::from(n)),
-            TraceOp::Barrier(id) => (TAG_BARRIER, u64::from(id)),
-        };
-        // Only an address can exceed the payload; counts and ids are `u32`.
-        assert!(
-            payload <= PAYLOAD_MASK,
-            "trace address {payload:#x} does not fit in the 62 bits of a packed trace op"
-        );
-        PackedOp(tag << TAG_SHIFT | payload)
-    }
-
-    fn op(self) -> TraceOp {
-        let payload = self.0 & PAYLOAD_MASK;
-        // Compute and barrier payloads were packed from a `u32`.
-        match self.0 >> TAG_SHIFT {
-            TAG_READ => TraceOp::Read(payload),
-            TAG_WRITE => TraceOp::Write(payload),
-            TAG_COMPUTE => TraceOp::Compute(payload as u32),
-            _ => TraceOp::Barrier(payload as u32),
-        }
+impl Default for Source {
+    fn default() -> Self {
+        Source::Ops(Vec::new())
     }
 }
 
-/// The instruction trace of one core, stored packed at 8 bytes per op.
-/// Ops are encoded on the way in ([`CoreTrace::from_ops`], the generator)
-/// and decoded on the way out ([`CoreTrace::op`], [`CoreTrace::ops`]).
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct CoreTrace {
-    ops: Vec<PackedOp>,
+/// Everything that determines one generated thread's ops.
+#[derive(Debug, Clone, Copy)]
+struct Recipe {
+    generator: TraceGenerator,
+    spec: BenchmarkSpec,
+    thread: usize,
+    mem_ops: u64,
 }
 
 impl CoreTrace {
     /// Creates a trace from explicit ops (mostly for tests).
-    ///
-    /// # Panics
-    ///
-    /// If a read or write address does not fit in 62 bits.
     pub fn from_ops(ops: Vec<TraceOp>) -> Self {
-        CoreTrace {
-            ops: ops.into_iter().map(PackedOp::new).collect(),
-        }
+        CoreTrace(Source::Ops(ops))
     }
 
-    /// The op at program counter `pc`, or `None` past the end.
-    pub fn op(&self, pc: usize) -> Option<TraceOp> {
-        self.ops.get(pc).map(|p| p.op())
-    }
-
-    /// The ops in program order, decoded.
-    pub fn ops(&self) -> impl ExactSizeIterator<Item = TraceOp> + '_ {
-        self.ops.iter().map(|p| p.op())
-    }
-
-    /// Number of ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
+    /// The ops in program order, replayed from the start.
+    pub fn ops(&self) -> TraceCursor {
+        TraceCursor(match &self.0 {
+            Source::Ops(ops) => Cursor::Ops(ops.clone().into_iter()),
+            Source::Generated(recipe) => Cursor::Generated(Emitter::new(*recipe)),
+        })
     }
 
     /// Whether the trace has no ops.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        match &self.0 {
+            Source::Ops(ops) => ops.is_empty(),
+            Source::Generated(recipe) => recipe.mem_ops == 0,
+        }
     }
 
     /// Number of memory operations.
     pub fn memory_ops(&self) -> u64 {
-        self.ops()
-            .filter(|o| matches!(o, TraceOp::Read(_) | TraceOp::Write(_)))
-            .count() as u64
+        match &self.0 {
+            Source::Ops(ops) => ops
+                .iter()
+                .filter(|o| matches!(o, TraceOp::Read(_) | TraceOp::Write(_)))
+                .count() as u64,
+            Source::Generated(recipe) => recipe.mem_ops,
+        }
     }
 
     /// Total instruction count.
@@ -160,11 +128,27 @@ impl CoreTrace {
 
     /// Number of barrier ops.
     pub fn barriers(&self) -> u64 {
-        self.ops()
-            .filter(|o| matches!(o, TraceOp::Barrier(_)))
-            .count() as u64
+        match &self.0 {
+            Source::Ops(ops) => ops
+                .iter()
+                .filter(|o| matches!(o, TraceOp::Barrier(_)))
+                .count() as u64,
+            Source::Generated(r) if r.generator.with_barriers => {
+                r.spec.barriers_per_thread(r.mem_ops)
+            }
+            Source::Generated(_) => 0,
+        }
     }
 }
+
+/// Two traces are equal when they replay the same ops.
+impl PartialEq for CoreTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops().eq(other.ops())
+    }
+}
+
+impl Eq for CoreTrace {}
 
 impl std::fmt::Debug for CoreTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -174,8 +158,115 @@ impl std::fmt::Debug for CoreTrace {
     }
 }
 
+/// A [`CoreTrace`] being replayed: yields its ops in program order.
+#[derive(Debug)]
+pub struct TraceCursor(Cursor);
+
+#[derive(Debug)]
+enum Cursor {
+    Ops(std::vec::IntoIter<TraceOp>),
+    Generated(Emitter),
+}
+
+impl Iterator for TraceCursor {
+    type Item = TraceOp;
+
+    fn next(&mut self) -> Option<TraceOp> {
+        match &mut self.0 {
+            Cursor::Ops(ops) => ops.next(),
+            Cursor::Generated(emitter) => emitter.next(),
+        }
+    }
+}
+
+/// The generator loop of one thread, run one memory op at a time.
+#[derive(Debug)]
+struct Emitter {
+    recipe: Recipe,
+    rng: SplitMix64,
+    reuse_window: VecDeque<u64>,
+    barrier_id: u32,
+    /// Memory ops generated so far (the loop counter).
+    generated: u64,
+    /// The rest of the current memory op's ops: its compute gap, the
+    /// access itself and its barrier.
+    buffered: VecDeque<TraceOp>,
+}
+
+impl Emitter {
+    fn new(recipe: Recipe) -> Self {
+        let Recipe {
+            generator, thread, ..
+        } = recipe;
+        Emitter {
+            recipe,
+            rng: SplitMix64::new(
+                generator.seed
+                    ^ (thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    ^ generator.task_offset,
+            ),
+            reuse_window: VecDeque::with_capacity(REUSE_WINDOW),
+            barrier_id: 0,
+            generated: 0,
+            buffered: VecDeque::with_capacity(3),
+        }
+    }
+
+    fn next(&mut self) -> Option<TraceOp> {
+        if self.buffered.is_empty() {
+            if self.generated == self.recipe.mem_ops {
+                return None;
+            }
+            self.generate_one();
+        }
+        self.buffered.pop_front()
+    }
+
+    /// Generates the next memory op with the compute gap before it and the
+    /// barrier after it, if any. Reads `mem_ops` nowhere, so a trace is a
+    /// prefix of every longer one from the same recipe.
+    fn generate_one(&mut self) {
+        let Recipe {
+            generator,
+            spec,
+            thread,
+            ..
+        } = self.recipe;
+        let rng = &mut self.rng;
+        // Compute gap.
+        let gap = rng.next_below(u64::from(spec.compute_per_mem) * 2 + 1) as u32;
+        if gap > 0 {
+            self.buffered.push_back(TraceOp::Compute(gap));
+        }
+        // Pick the address.
+        let addr = if !self.reuse_window.is_empty() && rng.gen_bool(spec.reuse) {
+            let idx = rng.index(self.reuse_window.len());
+            self.reuse_window[idx]
+        } else {
+            let a = generator.fresh_address(&spec, thread, rng);
+            if self.reuse_window.len() == REUSE_WINDOW {
+                self.reuse_window.pop_front();
+            }
+            self.reuse_window.push_back(a);
+            a
+        };
+        let is_write = rng.gen_bool(spec.write_fraction);
+        self.buffered.push_back(if is_write {
+            TraceOp::Write(addr)
+        } else {
+            TraceOp::Read(addr)
+        });
+        self.generated += 1;
+        // Barriers.
+        if generator.with_barriers && self.generated.is_multiple_of(spec.barrier_interval) {
+            self.barrier_id += 1;
+            self.buffered.push_back(TraceOp::Barrier(self.barrier_id));
+        }
+    }
+}
+
 /// Deterministic synthetic trace generator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceGenerator {
     seed: u64,
     /// Offset added to every generated address; used to give multi-program
@@ -200,12 +291,12 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// If `task` is not below 2^14: the offset would push addresses past
-    /// the 62 bits a packed trace op holds.
+    /// If `task` is not below 2^16: the offset would push addresses past
+    /// 64 bits.
     pub fn with_task_offset(mut self, task: u64) -> Self {
         assert!(
             task < MAX_TASKS,
-            "task offset {task} out of range: at most {MAX_TASKS} tasks (2^14) fit in a 62-bit trace address"
+            "task offset {task} out of range: at most {MAX_TASKS} tasks (2^16) fit in a 64-bit address"
         );
         // The shift clears the whole private/neighbour/global layout
         // (which tops out below 2^46), so no two tasks can ever overlap.
@@ -220,52 +311,21 @@ impl TraceGenerator {
         self
     }
 
-    /// Generates `mem_ops_per_thread` memory operations (plus interleaved
-    /// compute and optional barriers) for each of `threads` threads.
+    /// The traces of `threads` threads, each of `mem_ops_per_thread`
+    /// memory operations (plus interleaved compute and optional barriers).
+    /// Nothing is generated here: each trace is replayed on demand
+    /// ([`CoreTrace::ops`]).
     pub fn generate(&self, spec: &BenchmarkSpec, threads: usize, mem_ops_per_thread: u64) -> Vec<CoreTrace> {
         (0..threads)
-            .map(|t| self.generate_thread(spec, t, mem_ops_per_thread))
+            .map(|thread| {
+                CoreTrace(Source::Generated(Recipe {
+                    generator: *self,
+                    spec: *spec,
+                    thread,
+                    mem_ops: mem_ops_per_thread,
+                }))
+            })
             .collect()
-    }
-
-    fn generate_thread(&self, spec: &BenchmarkSpec, thread: usize, mem_ops: u64) -> CoreTrace {
-        let mut rng = SplitMix64::new(
-            self.seed ^ (thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ self.task_offset,
-        );
-        let mut ops = Vec::with_capacity((mem_ops as usize) * 2);
-        let mut reuse_window: VecDeque<u64> = VecDeque::with_capacity(64);
-        let mut barrier_id = 0u32;
-        for i in 0..mem_ops {
-            // Compute gap.
-            let gap = rng.next_below(u64::from(spec.compute_per_mem) * 2 + 1) as u32;
-            if gap > 0 {
-                ops.push(PackedOp::new(TraceOp::Compute(gap)));
-            }
-            // Pick the address.
-            let addr = if !reuse_window.is_empty() && rng.gen_bool(spec.reuse) {
-                let idx = rng.index(reuse_window.len());
-                reuse_window[idx]
-            } else {
-                let a = self.fresh_address(spec, thread, &mut rng);
-                if reuse_window.len() == 64 {
-                    reuse_window.pop_front();
-                }
-                reuse_window.push_back(a);
-                a
-            };
-            let is_write = rng.gen_bool(spec.write_fraction);
-            ops.push(PackedOp::new(if is_write {
-                TraceOp::Write(addr)
-            } else {
-                TraceOp::Read(addr)
-            }));
-            // Barriers.
-            if self.with_barriers && (i + 1) % spec.barrier_interval == 0 {
-                barrier_id += 1;
-                ops.push(PackedOp::new(TraceOp::Barrier(barrier_id)));
-            }
-        }
-        CoreTrace { ops }
     }
 
     fn fresh_address(&self, spec: &BenchmarkSpec, thread: usize, rng: &mut SplitMix64) -> u64 {
@@ -461,11 +521,18 @@ mod tests {
         h
     }
 
-    /// Folds every trace's length and decoded op sequence into `h`.
+    /// Folds every trace's length and op sequence into `h`, checking on the
+    /// way that the recipe's O(1) answers match the replayed ops.
     fn fold_traces(mut h: u64, traces: &[CoreTrace]) -> u64 {
         for t in traces {
-            h = fnv(h, t.ops().len() as u64);
-            for op in t.ops() {
+            let ops: Vec<TraceOp> = t.ops().collect();
+            let count = |f: fn(&TraceOp) -> bool| ops.iter().filter(|o| f(o)).count() as u64;
+            let memory = count(|o| matches!(o, TraceOp::Read(_) | TraceOp::Write(_)));
+            assert_eq!(t.memory_ops(), memory);
+            assert_eq!(t.barriers(), count(|o| matches!(o, TraceOp::Barrier(_))));
+            assert_eq!(t.is_empty(), ops.is_empty());
+            h = fnv(h, ops.len() as u64);
+            for op in ops {
                 let (tag, payload) = match op {
                     TraceOp::Read(a) => (1, a),
                     TraceOp::Write(a) => (2, a),
@@ -480,8 +547,8 @@ mod tests {
 
     /// The op sequences of every Table-2 workload (highest task offset
     /// included) and of every benchmark and stress spec, with and without
-    /// barriers. Recorded before traces were stored packed; the packed
-    /// representation must decode to exactly the same sequences.
+    /// barriers. Recorded when traces were generated whole into a list;
+    /// replaying a recipe must yield exactly the same sequences.
     #[test]
     fn decoded_ops_match_the_pinned_fingerprint() {
         let mut h = 0xcbf2_9ce4_8422_2325;
@@ -505,33 +572,38 @@ mod tests {
         assert_eq!(h, 0x49b4_183a_b885_2b26, "fingerprint {h:#x}");
     }
 
+    /// A billion memory ops per thread on 64 threads costs nothing to set
+    /// up, and its first ops are exactly a short trace's: the generator
+    /// reads the length only as its bound.
     #[test]
-    fn packing_round_trips_the_edge_values() {
-        let edges = vec![
-            TraceOp::Read(0),
-            TraceOp::Write(0),
-            TraceOp::Read(PAYLOAD_MASK),
-            TraceOp::Write((1 << 62) - 1),
-            TraceOp::Compute(0),
-            TraceOp::Compute(u32::MAX),
-            TraceOp::Barrier(0),
-            TraceOp::Barrier(u32::MAX),
-        ];
-        let trace = CoreTrace::from_ops(edges.clone());
-        assert_eq!(trace.len(), edges.len());
-        assert!(!trace.is_empty());
-        assert_eq!(trace.ops().collect::<Vec<_>>(), edges);
-        for (pc, &op) in edges.iter().enumerate() {
-            assert_eq!(trace.op(pc), Some(op));
+    fn a_long_trace_set_is_built_at_once_and_extends_a_short_one() {
+        let spec = Benchmark::Fft.spec().barrier_interval(7);
+        let gen = TraceGenerator::new(42).with_barriers(true);
+        let long = gen.generate(&spec, 64, 1_000_000_000);
+        let short = gen.generate(&spec, 64, 1_000);
+        for (l, s) in long.iter().zip(&short) {
+            assert_eq!(l.memory_ops(), 1_000_000_000);
+            assert_eq!(l.barriers(), 1_000_000_000 / 7);
+            assert!(!l.is_empty());
+            let prefix: Vec<TraceOp> = s.ops().collect();
+            assert!(l.ops().take(prefix.len()).eq(prefix.iter().copied()));
         }
-        assert_eq!(trace.op(edges.len()), None);
-        assert!(CoreTrace::default().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "does not fit in the 62 bits")]
-    fn packing_an_address_of_62_bits_or_more_panics() {
-        CoreTrace::from_ops(vec![TraceOp::Read(1 << 62)]);
+    fn explicit_traces_replay_their_ops() {
+        let ops = vec![
+            TraceOp::Read(0),
+            TraceOp::Write(u64::MAX),
+            TraceOp::Compute(u32::MAX),
+            TraceOp::Barrier(0),
+        ];
+        let trace = CoreTrace::from_ops(ops.clone());
+        assert_eq!(trace.ops().collect::<Vec<_>>(), ops);
+        assert_eq!((trace.memory_ops(), trace.barriers()), (2, 1));
+        assert!(!trace.is_empty());
+        assert!(CoreTrace::default().is_empty());
+        assert_eq!(CoreTrace::default().ops().next(), None);
     }
 
     #[test]
@@ -544,7 +616,7 @@ mod tests {
     }
 
     #[test]
-    fn the_highest_task_offset_still_packs() {
+    fn the_highest_task_offset_still_fits() {
         let spec = Benchmark::Barnes.spec();
         let task = MAX_TASKS - 1;
         let traces = TraceGenerator::new(1)
@@ -558,8 +630,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 16384 tasks")]
-    fn task_offsets_past_the_packing_limit_are_refused() {
+    #[should_panic(expected = "at most 65536 tasks")]
+    fn task_offsets_past_the_address_limit_are_refused() {
         let _ = TraceGenerator::new(1).with_task_offset(MAX_TASKS);
     }
 

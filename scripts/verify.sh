@@ -66,11 +66,18 @@ if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml 
     echo "noc_synth did not reproduce its recorded fingerprints"; cat target/noc_synth_err.txt; exit 1
 fi
 
-echo "==> stall-stress benchmark (six Fig-19 scenarios, event-driven run; recorded run_naive fingerprints must match)"
+echo "==> stall-stress benchmark (six Fig-19 scenarios, event-driven run; recorded run_naive fingerprints must match, peak RSS at most 12 MB)"
 if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload stall16 --seed 42 --seconds 1 --trace 0 > target/stall16.txt 2>target/stall16_err.txt \
     || ! tail -n 1 target/stall16.txt | grep -q '"correct": true'; then
     echo "stall16 did not reproduce its recorded fingerprints"; cat target/stall16_err.txt; exit 1
+fi
+# Traces are replayed from their generator, so memory does not grow with
+# trace length: six 16-core systems at 16,000 mem-ops/core peak near 5 MB,
+# and materialised traces would add about 20 MB.
+stall_rss=$(tail -n 1 target/stall16.txt | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
+if ! awk -v r="$stall_rss" 'BEGIN { exit !(r != "" && r <= 12) }'; then
+    echo "stall16 peak_rss_mb is '$stall_rss' MB, above the 12 MB gate"; exit 1
 fi
 
 echo "==> paper64 campaign benchmark (152 figure reads, 128 simulations on 2 workers; recorded per-scenario fingerprints must match)"
