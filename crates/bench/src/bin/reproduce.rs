@@ -105,14 +105,18 @@ fn parse_args() -> Options {
     };
     let mut it = std::env::args().skip(1);
     let value = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| bad(&format!("{flag} needs a value")))
+        it.next()
+            .unwrap_or_else(|| bad(&format!("{flag} needs a value")))
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--params" | "--scale" => {
                 let v = value(&arg, &mut it);
-                opts.scale = Scale::parse(&v)
-                    .unwrap_or_else(|| bad(&format!("unknown params '{v}', expected quick|paper64|paper256")));
+                opts.scale = Scale::parse(&v).unwrap_or_else(|| {
+                    bad(&format!(
+                        "unknown params '{v}', expected quick|paper64|paper256"
+                    ))
+                });
             }
             "--list-figures" => opts.list_figures = true,
             "--figures" | "--fig" => {
@@ -154,7 +158,10 @@ fn parse_args() -> Options {
             }
             "--mem-ops" => {
                 let v = value(&arg, &mut it);
-                opts.mem_ops = Some(v.parse().unwrap_or_else(|_| bad("--mem-ops takes a number")));
+                opts.mem_ops = Some(
+                    v.parse()
+                        .unwrap_or_else(|_| bad("--mem-ops takes a number")),
+                );
             }
             "--json" => opts.json_path = Some(value(&arg, &mut it)),
             "--markdown" => opts.markdown_path = Some(value(&arg, &mut it)),
@@ -226,7 +233,10 @@ fn main() {
     let specs: Vec<FigureSpec> = opts
         .figures
         .iter()
-        .map(|&n| figure_spec(opts.scale, n, opts.benchmarks.as_deref()).expect("figure numbers validated"))
+        .map(|&n| {
+            figure_spec(opts.scale, n, opts.benchmarks.as_deref())
+                .expect("figure numbers validated")
+        })
         .collect();
     let mut plan = CampaignPlan::new();
     for spec in &specs {
@@ -275,7 +285,8 @@ fn main() {
         println!("{fig}");
     }
     if let Some(path) = &opts.json_path {
-        std::fs::write(path, json_document(opts.scale, &figures) + "\n").expect("write --json file");
+        std::fs::write(path, json_document(opts.scale, &figures) + "\n")
+            .expect("write --json file");
         eprintln!("wrote {path}");
     }
     if let Some(path) = &opts.markdown_path {

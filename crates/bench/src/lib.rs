@@ -103,7 +103,11 @@ pub const FIGURE_NUMBERS: std::ops::RangeInclusive<u32> = 6..=19;
 /// at this scale, optionally overriding the benchmark x-axis (`None` uses
 /// the scale's default suite). Returns `None` for numbers outside the
 /// range.
-pub fn figure_spec(scale: Scale, number: u32, benchmarks: Option<&[Benchmark]>) -> Option<FigureSpec> {
+pub fn figure_spec(
+    scale: Scale,
+    number: u32,
+    benchmarks: Option<&[Benchmark]>,
+) -> Option<FigureSpec> {
     let suite = |def: fn(Scale) -> Vec<Benchmark>| -> Vec<Benchmark> {
         benchmarks.map_or_else(|| def(scale), <[Benchmark]>::to_vec)
     };
@@ -139,7 +143,11 @@ pub fn figure_spec(scale: Scale, number: u32, benchmarks: Option<&[Benchmark]>) 
 
 /// The `FigureSpec`s for a list of figure numbers, in the given order.
 /// Unknown numbers are skipped (the callers warn about them separately).
-pub fn figure_specs(scale: Scale, numbers: &[u32], benchmarks: Option<&[Benchmark]>) -> Vec<FigureSpec> {
+pub fn figure_specs(
+    scale: Scale,
+    numbers: &[u32],
+    benchmarks: Option<&[Benchmark]>,
+) -> Vec<FigureSpec> {
     numbers
         .iter()
         .filter_map(|&n| figure_spec(scale, n, benchmarks))
@@ -181,8 +189,16 @@ mod tests {
     #[test]
     fn plan_sizes_per_figure_are_pinned() {
         for (scale, sizes, total) in [
-            (Scale::Quick, [6, 9, 6, 6, 9, 12, 12, 12, 15, 6, 8, 15, 12, 6], 43),
-            (Scale::Cores64, [16, 24, 16, 16, 24, 32, 32, 32, 40, 30, 44, 40, 32, 6], 128),
+            (
+                Scale::Quick,
+                [6, 9, 6, 6, 9, 12, 12, 12, 15, 6, 8, 15, 12, 6],
+                43,
+            ),
+            (
+                Scale::Cores64,
+                [16, 24, 16, 16, 24, 32, 32, 32, 40, 30, 44, 40, 32, 6],
+                128,
+            ),
         ] {
             let params = scale.params();
             let specs = figure_specs(scale, &FIGURE_NUMBERS.collect::<Vec<_>>(), None);
@@ -216,16 +232,26 @@ mod tests {
             }
             let mut shared = 0;
             for s in fig16.scenarios() {
-                let Scenario::Trace { benchmark, full_system, .. } = *s else {
+                let Scenario::Trace {
+                    benchmark,
+                    full_system,
+                    ..
+                } = *s
+                else {
                     panic!("fig16 reads only trace scenarios: {}", s.label())
                 };
-                let barriers = benchmark.spec().barriers_per_thread(params.mem_ops_per_core);
+                let barriers = benchmark
+                    .spec()
+                    .barriers_per_thread(params.mem_ops_per_core);
                 assert_eq!(barriers, 0, "{scale:?}: {}", s.label());
                 let read_earlier = earlier.scenarios().contains(s);
                 assert_eq!(full_system, !read_earlier, "{scale:?}: {}", s.label());
                 shared += usize::from(!full_system);
             }
-            assert_eq!(shared, twins, "{scale:?}: fig16 reads also read by figs 06-15");
+            assert_eq!(
+                shared, twins,
+                "{scale:?}: fig16 reads also read by figs 06-15"
+            );
         }
     }
 

@@ -25,7 +25,10 @@ impl Address {
     ///
     /// Panics if `line_bytes` is not a power of two.
     pub fn line(self, line_bytes: u32) -> LineAddr {
-        assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         LineAddr(self.0 >> line_bytes.trailing_zeros())
     }
 }
@@ -107,7 +110,8 @@ mod tests {
         let hnid_bits = 4;
         for raw in [0u64, 1, 0x37, 0x1234, 0xffff_ffff, 0xdead_beef_cafe] {
             let l = LineAddr(raw);
-            let rebuilt = (l.tag(hnid_bits, sets) * sets as u64 + l.set_index(hnid_bits, sets) as u64)
+            let rebuilt = (l.tag(hnid_bits, sets) * sets as u64
+                + l.set_index(hnid_bits, sets) as u64)
                 << hnid_bits
                 | l.hnid(hnid_bits);
             assert_eq!(rebuilt, raw);

@@ -17,8 +17,8 @@ use crate::address::LineAddr;
 use crate::line::SharerSet;
 use crate::msg::{Agent, MsgKind, Outgoing, ProtocolMsg};
 use crate::stats::CacheStats;
-use loco_noc::NodeId;
 use loco_noc::FxHashMap;
+use loco_noc::NodeId;
 use std::collections::VecDeque;
 
 /// Timing parameters of the directory.
@@ -122,7 +122,12 @@ impl DirectoryController {
                 Some(owner) => {
                     out.push(Outgoing::after(
                         lat,
-                        ProtocolMsg::derived(&msg, MsgKind::FwdGetS, Agent::dir(self.node), Agent::l2(owner)),
+                        ProtocolMsg::derived(
+                            &msg,
+                            MsgKind::FwdGetS,
+                            Agent::dir(self.node),
+                            Agent::l2(owner),
+                        ),
                     ));
                 }
                 None => {
@@ -156,14 +161,24 @@ impl DirectoryController {
                 self.stats.invalidations += 1;
                 out.push(Outgoing::after(
                     lat,
-                    ProtocolMsg::derived(&msg, MsgKind::InvL2, Agent::dir(self.node), Agent::l2(sharer)),
+                    ProtocolMsg::derived(
+                        &msg,
+                        MsgKind::InvL2,
+                        Agent::dir(self.node),
+                        Agent::l2(sharer),
+                    ),
                 ));
             }
             let data_coming = match entry.owner.filter(|&o| o != requester_l2) {
                 Some(owner) => {
                     out.push(Outgoing::after(
                         lat,
-                        ProtocolMsg::derived(&msg, MsgKind::FwdGetM, Agent::dir(self.node), Agent::l2(owner)),
+                        ProtocolMsg::derived(
+                            &msg,
+                            MsgKind::FwdGetM,
+                            Agent::dir(self.node),
+                            Agent::l2(owner),
+                        ),
                     ));
                     true
                 }
@@ -213,7 +228,11 @@ mod tests {
     fn get(addr: u64, from_l2: u16, write: bool) -> ProtocolMsg {
         ProtocolMsg {
             addr: LineAddr(addr),
-            kind: if write { MsgKind::GblGetM } else { MsgKind::GblGetS },
+            kind: if write {
+                MsgKind::GblGetM
+            } else {
+                MsgKind::GblGetS
+            },
             src: Agent::l2(NodeId(from_l2)),
             dst: Agent::dir(NodeId(4)),
             requester: NodeId(from_l2),
@@ -266,15 +285,25 @@ mod tests {
         d.handle(unblock(7, 30), &mut out);
         let mut out = Vec::new();
         d.handle(get(7, 40, true), &mut out);
-        let invs: Vec<_> = out.iter().filter(|o| o.msg.kind == MsgKind::InvL2).collect();
+        let invs: Vec<_> = out
+            .iter()
+            .filter(|o| o.msg.kind == MsgKind::InvL2)
+            .collect();
         assert_eq!(invs.len(), 2, "sharers 20 and 30 are invalidated");
-        assert!(out.iter().any(|o| o.msg.kind == MsgKind::FwdGetM
-            && o.msg.dst == Agent::l2(NodeId(10))));
+        assert!(out
+            .iter()
+            .any(|o| o.msg.kind == MsgKind::FwdGetM && o.msg.dst == Agent::l2(NodeId(10))));
         let info = out
             .iter()
             .find(|o| matches!(o.msg.kind, MsgKind::DirInfo { .. }))
             .unwrap();
-        assert_eq!(info.msg.kind, MsgKind::DirInfo { acks: 2, data_coming: true });
+        assert_eq!(
+            info.msg.kind,
+            MsgKind::DirInfo {
+                acks: 2,
+                data_coming: true
+            }
+        );
     }
 
     #[test]
@@ -294,7 +323,13 @@ mod tests {
             .unwrap();
         // Data comes from the owner (node 10) via FwdGetM, so data_coming is
         // true and only the owner (not counted in acks) is contacted.
-        assert_eq!(info.msg.kind, MsgKind::DirInfo { acks: 0, data_coming: true });
+        assert_eq!(
+            info.msg.kind,
+            MsgKind::DirInfo {
+                acks: 0,
+                data_coming: true
+            }
+        );
         assert!(out.iter().any(|o| o.msg.kind == MsgKind::FwdGetM));
     }
 

@@ -127,7 +127,11 @@ impl L1Controller {
         }
         self.stats.l1_misses += 1;
         let home = self.org.home_node(self.node, line);
-        let kind = if is_write { MsgKind::GetM } else { MsgKind::GetS };
+        let kind = if is_write {
+            MsgKind::GetM
+        } else {
+            MsgKind::GetS
+        };
         self.mshr = Some(Mshr {
             addr: line,
             is_write,
@@ -151,7 +155,12 @@ impl L1Controller {
     ///
     /// Returns the fill notification if the message completed the
     /// outstanding miss.
-    pub fn handle(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) -> Option<L1Fill> {
+    pub fn handle(
+        &mut self,
+        msg: ProtocolMsg,
+        now: u64,
+        out: &mut Vec<Outgoing>,
+    ) -> Option<L1Fill> {
         match msg.kind {
             MsgKind::DataS(source) | MsgKind::DataM(source) => {
                 let exclusive = matches!(msg.kind, MsgKind::DataM(_));
@@ -250,7 +259,10 @@ mod tests {
     fn read_miss_then_hit() {
         let mut c = l1();
         let mut out = Vec::new();
-        assert_eq!(c.access(Address(0x1000), false, 0, &mut out), L1Access::Miss);
+        assert_eq!(
+            c.access(Address(0x1000), false, 0, &mut out),
+            L1Access::Miss
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].msg.kind, MsgKind::GetS);
         assert!(c.is_blocked());
@@ -260,7 +272,10 @@ mod tests {
         assert!(!c.is_blocked());
         // Second access to the same line hits.
         let mut out = Vec::new();
-        assert_eq!(c.access(Address(0x1010), false, 11, &mut out), L1Access::Hit);
+        assert_eq!(
+            c.access(Address(0x1010), false, 11, &mut out),
+            L1Access::Hit
+        );
         assert!(out.is_empty());
         assert_eq!(c.stats().l1_hits, 1);
         assert_eq!(c.stats().l1_misses, 1);
@@ -287,7 +302,10 @@ mod tests {
         let mut c = l1();
         let mut out = Vec::new();
         assert_eq!(c.access(Address(0x1), false, 0, &mut out), L1Access::Miss);
-        assert_eq!(c.access(Address(0x9000), false, 1, &mut out), L1Access::Busy);
+        assert_eq!(
+            c.access(Address(0x9000), false, 1, &mut out),
+            L1Access::Busy
+        );
     }
 
     #[test]
@@ -310,7 +328,10 @@ mod tests {
         assert_eq!(out[0].msg.kind, MsgKind::InvAckL1 { dirty: true });
         // The line is gone: the next read misses.
         let mut out = Vec::new();
-        assert_eq!(c.access(Address(0x3000), false, 9, &mut out), L1Access::Miss);
+        assert_eq!(
+            c.access(Address(0x3000), false, 9, &mut out),
+            L1Access::Miss
+        );
     }
 
     #[test]

@@ -19,8 +19,8 @@ use crate::line::{MoesiState, SharerSet};
 use crate::msg::{Agent, MsgKind, Outgoing, ProtocolMsg, ResponseSource};
 use crate::organization::{MemoryMap, Organization};
 use crate::stats::CacheStats;
-use loco_noc::{NodeId, SplitMix64};
 use loco_noc::FxHashMap;
+use loco_noc::{NodeId, SplitMix64};
 
 /// Tunables of the home-node controller beyond the array geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,8 +206,12 @@ impl L2Controller {
             MsgKind::FwdGetM | MsgKind::InvL2 => self.handle_remote_inv(msg, out),
             MsgKind::BcastGetS => self.handle_bcast_gets(msg, now, out),
             MsgKind::BcastGetM => self.handle_bcast_getm(msg, out),
-            MsgKind::OwnerData => self.handle_data(msg, MoesiState::S, ResponseSource::Remote, now, out),
-            MsgKind::OwnerDataM => self.handle_data(msg, MoesiState::M, ResponseSource::Remote, now, out),
+            MsgKind::OwnerData => {
+                self.handle_data(msg, MoesiState::S, ResponseSource::Remote, now, out)
+            }
+            MsgKind::OwnerDataM => {
+                self.handle_data(msg, MoesiState::M, ResponseSource::Remote, now, out)
+            }
             MsgKind::MemData => self.handle_mem_data(msg, now, out),
             MsgKind::AckNoData | MsgKind::InvAckL2 => self.handle_global_ack(msg, now, out),
             MsgKind::IvrMigrate {
@@ -252,7 +256,12 @@ impl L2Controller {
         }
     }
 
-    fn serve_local_read_hit(&mut self, msg: ProtocolMsg, l1_owner: Option<NodeId>, out: &mut Vec<Outgoing>) {
+    fn serve_local_read_hit(
+        &mut self,
+        msg: ProtocolMsg,
+        l1_owner: Option<NodeId>,
+        out: &mut Vec<Outgoing>,
+    ) {
         let set = self.set_of(msg.addr);
         if let Some(owner) = l1_owner.filter(|&o| o != msg.requester) {
             // Another L1 in the domain holds a modified copy: recall it
@@ -309,8 +318,8 @@ impl L2Controller {
         }
         // Other clusters / tiles may hold copies when the line is not
         // exclusively ours.
-        let needs_global = !self.org.is_chip_wide_shared()
-            && matches!(state, MoesiState::S | MoesiState::O);
+        let needs_global =
+            !self.org.is_chip_wide_shared() && matches!(state, MoesiState::S | MoesiState::O);
         if needs_global {
             if self.org.uses_vms() {
                 mshr.vms_mode = true;
@@ -331,7 +340,12 @@ impl L2Controller {
                 let dir = self.memmap.controller_for(msg.addr);
                 out.push(Outgoing::after(
                     self.lat(),
-                    ProtocolMsg::derived(&msg, MsgKind::GblGetM, Agent::l2(self.node), Agent::dir(dir)),
+                    ProtocolMsg::derived(
+                        &msg,
+                        MsgKind::GblGetM,
+                        Agent::l2(self.node),
+                        Agent::dir(dir),
+                    ),
                 ));
             }
         }
@@ -339,24 +353,47 @@ impl L2Controller {
         self.try_complete(msg.addr, now, out);
     }
 
-    fn start_global_fetch(&mut self, msg: ProtocolMsg, is_write: bool, now: u64, out: &mut Vec<Outgoing>) {
-        let kind = if is_write { TxnKind::Write } else { TxnKind::Read };
+    fn start_global_fetch(
+        &mut self,
+        msg: ProtocolMsg,
+        is_write: bool,
+        now: u64,
+        out: &mut Vec<Outgoing>,
+    ) {
+        let kind = if is_write {
+            TxnKind::Write
+        } else {
+            TxnKind::Read
+        };
         let mut mshr = Mshr::new(kind, msg.requester, msg.issued_at);
         mshr.started_search_at = Some(now);
-        mshr.install_state = Some(if is_write { MoesiState::M } else { MoesiState::S });
+        mshr.install_state = Some(if is_write {
+            MoesiState::M
+        } else {
+            MoesiState::S
+        });
         if self.org.is_chip_wide_shared() {
             // The home L2 is the only on-chip copy: straight to memory.
             mshr.went_to_memory = true;
             let mem = self.memmap.controller_for(msg.addr);
             out.push(Outgoing::after(
                 self.lat(),
-                ProtocolMsg::derived(&msg, MsgKind::MemRead, Agent::l2(self.node), Agent::mem(mem)),
+                ProtocolMsg::derived(
+                    &msg,
+                    MsgKind::MemRead,
+                    Agent::l2(self.node),
+                    Agent::mem(mem),
+                ),
             ));
         } else if self.org.uses_vms() {
             mshr.vms_mode = true;
             mshr.acks_needed = (self.org.num_clusters() - 1) as u32;
             self.stats.broadcasts += 1;
-            let bkind = if is_write { MsgKind::BcastGetM } else { MsgKind::BcastGetS };
+            let bkind = if is_write {
+                MsgKind::BcastGetM
+            } else {
+                MsgKind::BcastGetS
+            };
             out.push(Outgoing::after(
                 self.lat(),
                 ProtocolMsg::derived(&msg, bkind, Agent::l2(self.node), Agent::l2(self.node)),
@@ -368,7 +405,12 @@ impl L2Controller {
             let mem = self.memmap.controller_for(msg.addr);
             out.push(Outgoing::after(
                 self.lat(),
-                ProtocolMsg::derived(&msg, MsgKind::MemRead, Agent::l2(self.node), Agent::mem(mem)),
+                ProtocolMsg::derived(
+                    &msg,
+                    MsgKind::MemRead,
+                    Agent::l2(self.node),
+                    Agent::mem(mem),
+                ),
             ));
         } else {
             // Private baseline and LOCO CC: indirection through the global
@@ -376,7 +418,11 @@ impl L2Controller {
             mshr.used_directory = true;
             mshr.dir_info_pending = is_write;
             let dir = self.memmap.controller_for(msg.addr);
-            let gkind = if is_write { MsgKind::GblGetM } else { MsgKind::GblGetS };
+            let gkind = if is_write {
+                MsgKind::GblGetM
+            } else {
+                MsgKind::GblGetS
+            };
             out.push(Outgoing::after(
                 self.lat(),
                 ProtocolMsg::derived(&msg, gkind, Agent::l2(self.node), Agent::dir(dir)),
@@ -510,7 +556,13 @@ impl L2Controller {
     /// Invalidate the domain's copy of `msg.addr`, collecting local L1 acks,
     /// then send the acknowledgement (`OwnerDataM` if `with_data`, else
     /// `InvAckL2`) to `reply_to`.
-    fn remote_invalidate(&mut self, msg: ProtocolMsg, reply_to: Agent, with_data: bool, out: &mut Vec<Outgoing>) {
+    fn remote_invalidate(
+        &mut self,
+        msg: ProtocolMsg,
+        reply_to: Agent,
+        with_data: bool,
+        out: &mut Vec<Outgoing>,
+    ) {
         let set = self.set_of(msg.addr);
         let sharers = self
             .array
@@ -528,7 +580,11 @@ impl L2Controller {
             if with_data {
                 self.stats.l2_data_reads += 1;
             }
-            let kind = if with_data { MsgKind::OwnerDataM } else { MsgKind::InvAckL2 };
+            let kind = if with_data {
+                MsgKind::OwnerDataM
+            } else {
+                MsgKind::InvAckL2
+            };
             out.push(Outgoing::after(
                 self.lat(),
                 ProtocolMsg::derived(&msg, kind, Agent::l2(self.node), reply_to),
@@ -611,7 +667,12 @@ impl L2Controller {
                 let mem = self.memmap.controller_for(msg.addr);
                 out.push(Outgoing::after(
                     1,
-                    ProtocolMsg::derived(&msg, MsgKind::MemCancel, Agent::l2(self.node), Agent::mem(mem)),
+                    ProtocolMsg::derived(
+                        &msg,
+                        MsgKind::MemCancel,
+                        Agent::l2(self.node),
+                        Agent::mem(mem),
+                    ),
                 ));
             }
         }
@@ -765,7 +826,13 @@ impl L2Controller {
 
     // -------------------------------------------------------------- evictions
 
-    fn handle_eviction(&mut self, victim: Entry<L2Meta>, chain_hop: u8, now: u64, out: &mut Vec<Outgoing>) {
+    fn handle_eviction(
+        &mut self,
+        victim: Entry<L2Meta>,
+        chain_hop: u8,
+        now: u64,
+        out: &mut Vec<Outgoing>,
+    ) {
         // Inclusive L2: recall L1 copies (fire and forget).
         for l1 in victim.meta.sharers.iter() {
             self.stats.invalidations += 1;
@@ -781,7 +848,8 @@ impl L2Controller {
                 },
             ));
         }
-        if self.org.uses_ivr() && victim.meta.state.is_valid() && chain_hop < self.cfg.ivr_threshold {
+        if self.org.uses_ivr() && victim.meta.state.is_valid() && chain_hop < self.cfg.ivr_threshold
+        {
             // Inter-cluster victim replacement: migrate to the same-HNid home
             // node of a random other cluster (the victim's data is read out
             // of the array to travel with the migration).
@@ -889,7 +957,12 @@ impl L2Controller {
                     let mem = self.memmap.controller_for(msg.addr);
                     out.push(Outgoing::after(
                         self.lat(),
-                        ProtocolMsg::derived(&msg, MsgKind::MemWb, Agent::l2(self.node), Agent::mem(mem)),
+                        ProtocolMsg::derived(
+                            &msg,
+                            MsgKind::MemWb,
+                            Agent::l2(self.node),
+                            Agent::mem(mem),
+                        ),
                     ));
                 }
                 return;
@@ -1192,7 +1265,10 @@ mod tests {
         // A second request for the same line while the first is outstanding.
         let mut out = Vec::new();
         l2.handle(gets(5, 10, 5), 1, &mut out);
-        assert!(out.is_empty(), "second request must be queued, not serviced");
+        assert!(
+            out.is_empty(),
+            "second request must be queued, not serviced"
+        );
         // Memory data completes the first and replays the second.
         let mut out = Vec::new();
         l2.handle(
@@ -1281,7 +1357,10 @@ mod tests {
         );
         assert_eq!(l2.stats().ivr_denied, 1);
         assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].msg.kind, MsgKind::IvrMigrate { hop: 3, .. }));
+        assert!(matches!(
+            out[0].msg.kind,
+            MsgKind::IvrMigrate { hop: 3, .. }
+        ));
         // Another denial at the threshold forces the writeback.
         let mut out = Vec::new();
         l2.handle(
@@ -1342,7 +1421,10 @@ mod tests {
         l2.handle(
             ProtocolMsg {
                 addr: LineAddr(0),
-                kind: MsgKind::DirInfo { acks: 1, data_coming: false },
+                kind: MsgKind::DirInfo {
+                    acks: 1,
+                    data_coming: false,
+                },
                 src: Agent::dir(NodeId(4)),
                 dst: Agent::l2(NodeId(0)),
                 requester: NodeId(1),

@@ -190,7 +190,13 @@ mod tests {
 
     #[test]
     fn back_to_back_reads_respect_the_bandwidth_gap() {
-        let mut m = MemoryController::new(NodeId(4), MemoryConfig { latency: 200, min_gap: 10 });
+        let mut m = MemoryController::new(
+            NodeId(4),
+            MemoryConfig {
+                latency: 200,
+                min_gap: 10,
+            },
+        );
         let mut out = Vec::new();
         m.handle(read(1, 10), 0, &mut out);
         m.handle(read(2, 11), 0, &mut out);
@@ -228,12 +234,25 @@ mod tests {
     #[test]
     fn a_cancel_in_the_middle_keeps_the_release_order() {
         for min_gap in [0, 4] {
-            let mut m = MemoryController::new(NodeId(4), MemoryConfig { latency: 200, min_gap });
+            let mut m = MemoryController::new(
+                NodeId(4),
+                MemoryConfig {
+                    latency: 200,
+                    min_gap,
+                },
+            );
             let mut out = Vec::new();
             for (addr, l2) in [(1, 10), (2, 11), (3, 12), (4, 13)] {
                 m.handle(read(addr, l2), 0, &mut out);
             }
-            m.handle(ProtocolMsg { kind: MsgKind::MemCancel, ..read(2, 11) }, 1, &mut out);
+            m.handle(
+                ProtocolMsg {
+                    kind: MsgKind::MemCancel,
+                    ..read(2, 11)
+                },
+                1,
+                &mut out,
+            );
             assert_eq!(m.pending_reads(), 3);
             assert_eq!(m.next_event(), Some(200));
             let mut released = Vec::new();

@@ -291,7 +291,10 @@ mod tests {
             VirtualNetwork::Response
         );
         assert_eq!(MsgKind::MemWb.virtual_network(), VirtualNetwork::Writeback);
-        assert_eq!(MsgKind::BcastGetM.virtual_network(), VirtualNetwork::Broadcast);
+        assert_eq!(
+            MsgKind::BcastGetM.virtual_network(),
+            VirtualNetwork::Broadcast
+        );
         assert_eq!(
             MsgKind::IvrMigrate {
                 state: MoesiState::O,

@@ -200,8 +200,10 @@ impl Organization {
                 let ly = hnid / self.cluster.w;
                 let cx = (idx % self.clusters_x() as usize) as u16;
                 let cy = (idx / self.clusters_x() as usize) as u16;
-                self.mesh
-                    .node_at(Coord::new(cx * self.cluster.w + lx, cy * self.cluster.h + ly))
+                self.mesh.node_at(Coord::new(
+                    cx * self.cluster.w + lx,
+                    cy * self.cluster.h + ly,
+                ))
             }
         }
     }
@@ -294,7 +296,10 @@ impl MemoryMap {
     ///
     /// Panics if `controllers` is empty.
     pub fn new(controllers: Vec<NodeId>) -> Self {
-        assert!(!controllers.is_empty(), "at least one memory controller required");
+        assert!(
+            !controllers.is_empty(),
+            "at least one memory controller required"
+        );
         MemoryMap { controllers }
     }
 
@@ -359,11 +364,7 @@ mod tests {
 
     #[test]
     fn loco_hnid_selects_distinct_homes_within_cluster() {
-        let org = Organization::loco(
-            mesh8(),
-            OrganizationKind::LocoCc,
-            ClusterShape::new(4, 4),
-        );
+        let org = Organization::loco(mesh8(), OrganizationKind::LocoCc, ClusterShape::new(4, 4));
         let homes: std::collections::HashSet<NodeId> = (0..16u64)
             .map(|h| org.home_node(NodeId(0), LineAddr(h)))
             .collect();

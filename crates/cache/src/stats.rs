@@ -1,7 +1,6 @@
 //! Cache-hierarchy statistics: the raw counters from which every figure of
 //! the paper's evaluation is derived.
 
-
 /// Counters collected across the L1s, home L2s, directory and memory
 /// controllers of one simulation.
 #[derive(Debug, Clone, Default, PartialEq)]

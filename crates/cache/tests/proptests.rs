@@ -104,7 +104,11 @@ fn sharer_set_matches_hashset() {
                 reference.remove(&node);
             }
             assert_eq!(s.len(), reference.len(), "case {case}");
-            assert_eq!(s.contains(NodeId(node)), reference.contains(&node), "case {case}");
+            assert_eq!(
+                s.contains(NodeId(node)),
+                reference.contains(&node),
+                "case {case}"
+            );
         }
         let collected: HashSet<u16> = s.iter().map(|n| n.0).collect();
         assert_eq!(collected, reference, "case {case}");

@@ -352,7 +352,9 @@ impl ResultSet {
 
     /// The result of one scenario, if present.
     pub fn get(&self, scenario: &Scenario) -> Option<&SimResults> {
-        self.index.get(scenario).map(|&i| self.entries[i].1.as_ref())
+        self.index
+            .get(scenario)
+            .map(|&i| self.entries[i].1.as_ref())
     }
 
     /// The result of one scenario.
@@ -363,8 +365,12 @@ impl ResultSet {
     /// executed — i.e. the plan the caller executed did not cover the
     /// figure being assembled.
     pub fn expect(&self, scenario: &Scenario) -> &SimResults {
-        self.get(scenario)
-            .unwrap_or_else(|| panic!("no result for scenario {} — was it planned?", scenario.label()))
+        self.get(scenario).unwrap_or_else(|| {
+            panic!(
+                "no result for scenario {} — was it planned?",
+                scenario.label()
+            )
+        })
     }
 
     /// Number of completed scenarios.
@@ -665,7 +671,11 @@ impl FigureSpec {
     pub fn title(&self, params: &ExperimentParams) -> String {
         let blank = SimResults::default();
         let panels = self.build(params, &|_| &blank);
-        panels.iter().map(|f| f.title.as_str()).collect::<Vec<_>>().join(" / ")
+        panels
+            .iter()
+            .map(|f| f.title.as_str())
+            .collect::<Vec<_>>()
+            .join(" / ")
     }
 
     /// Every scenario this figure reads — the pure *plan* pass. It is not a
@@ -719,7 +729,10 @@ impl FigureSpec {
         // their key, and the machine is simulated once (DESIGN §8).
         let trace = |benchmark: Benchmark, org, router, cluster, full_system: bool| {
             let twin_is_read = Benchmark::TRACE_DRIVEN.contains(&benchmark)
-                && benchmark.spec().barriers_per_thread(params.mem_ops_per_core) == 0;
+                && benchmark
+                    .spec()
+                    .barriers_per_thread(params.mem_ops_per_core)
+                    == 0;
             get(&Scenario::Trace {
                 benchmark,
                 org,
@@ -730,9 +743,8 @@ impl FigureSpec {
         };
         let at = |b, org| get(&Scenario::default_trace(params, b, org));
         let loco = |b, router, cluster| trace(b, LocoCcVmsIvr, router, cluster, false);
-        let over_private = |r: &SimResults, b| {
-            (r.avg_l2_hit_latency - at(b, Private).avg_l2_hit_latency).max(0.0)
-        };
+        let over_private =
+            |r: &SimResults, b| (r.avg_l2_hit_latency - at(b, Private).avg_l2_hit_latency).max(0.0);
         let bench = |bs: &[Benchmark]| -> Vec<(String, Benchmark)> {
             bs.iter().map(|&b| (b.name().to_string(), b)).collect()
         };
@@ -740,10 +752,17 @@ impl FigureSpec {
             os.iter().map(|&o| (o.label().to_string(), o)).collect()
         };
         // The three NoCs of the comparison figures, in paper order.
-        let nocs = [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix]
-            .map(|r| (format!("LOCO + {}", r.label()), r));
+        let nocs = [
+            RouterKind::Smart,
+            RouterKind::Conventional,
+            RouterKind::HighRadix,
+        ]
+        .map(|r| (format!("LOCO + {}", r.label()), r));
         let by_shape = |shapes: &[ClusterShape]| -> Vec<(String, ClusterShape)> {
-            shapes.iter().map(|&s| (format!("Cluster Size:{}x{}", s.w, s.h), s)).collect()
+            shapes
+                .iter()
+                .map(|&s| (format!("Cluster Size:{}x{}", s.w, s.h), s))
+                .collect()
         };
         match self {
             FigureSpec::Fig06 { benchmarks } => vec![panel(
@@ -763,17 +782,31 @@ impl FigureSpec {
                     "cycles",
                 ),
                 &bench(benchmarks),
-                &[("Shared Cache".into(), Shared), ("LOCO".into(), LocoCcVmsIvr)],
+                &[
+                    ("Shared Cache".into(), Shared),
+                    ("LOCO".into(), LocoCcVmsIvr),
+                ],
                 |o, b| over_private(at(b, o), b),
             )],
             FigureSpec::Fig08 { benchmarks } => vec![panel(
-                (format!("fig08-{p}"), "L2 cache misses per 1000 instructions", "MPKI"),
+                (
+                    format!("fig08-{p}"),
+                    "L2 cache misses per 1000 instructions",
+                    "MPKI",
+                ),
                 &bench(benchmarks),
-                &[("Shared Cache".into(), Shared), ("LOCO".into(), LocoCcVmsIvr)],
+                &[
+                    ("Shared Cache".into(), Shared),
+                    ("LOCO".into(), LocoCcVmsIvr),
+                ],
                 |o, b| at(b, o).l2_mpki,
             )],
             FigureSpec::Fig09 { benchmarks } => vec![panel(
-                (format!("fig09-{p}"), "Global search delay for data cached on-chip", "cycles"),
+                (
+                    format!("fig09-{p}"),
+                    "Global search delay for data cached on-chip",
+                    "cycles",
+                ),
                 &bench(benchmarks),
                 &orgs(&[LocoCc, LocoCcVms]),
                 |o, b| at(b, o).avg_search_delay,
@@ -848,13 +881,21 @@ impl FigureSpec {
                         |s, b| over_private(sized(s, b), b),
                     ),
                     panel(
-                        ("fig14b".into(), "L2 misses per 1000 instructions by cluster size", "MPKI"),
+                        (
+                            "fig14b".into(),
+                            "L2 misses per 1000 instructions by cluster size",
+                            "MPKI",
+                        ),
                         &xs,
                         &series,
                         |s, b| sized(s, b).l2_mpki,
                     ),
                     panel(
-                        ("fig14c".into(), "Global search delay by cluster size", "cycles"),
+                        (
+                            "fig14c".into(),
+                            "Global search delay by cluster size",
+                            "cycles",
+                        ),
                         &xs,
                         &series,
                         |s, b| sized(s, b).avg_search_delay,
@@ -872,7 +913,8 @@ impl FigureSpec {
                 ]
             }
             FigureSpec::Fig15 { workloads } => {
-                let xs: Vec<(String, usize)> = workloads.iter().map(|&w| (format!("W{w}"), w)).collect();
+                let xs: Vec<(String, usize)> =
+                    workloads.iter().map(|&w| (format!("W{w}"), w)).collect();
                 let series = [
                     (Shared.label().to_string(), Shared),
                     ("Clustered Cache".to_string(), LocoCc),
@@ -997,7 +1039,9 @@ impl FigureSpec {
                     &by_shape(shapes),
                     |s, b| {
                         let shared = energy.breakdown(at(b, Shared));
-                        energy.breakdown(loco(b, RouterKind::Smart, s)).edp_normalized_to(&shared)
+                        energy
+                            .breakdown(loco(b, RouterKind::Smart, s))
+                            .edp_normalized_to(&shared)
                     },
                 )]
             }
@@ -1205,7 +1249,10 @@ mod tests {
         let smart = &figs[0].series[0];
         assert!(smart.label.contains("SMART"), "{}", smart.label);
         for v in &smart.values {
-            assert!((v - 1.0).abs() < 1e-12, "SMART must normalize to 1, got {v}");
+            assert!(
+                (v - 1.0).abs() < 1e-12,
+                "SMART must normalize to 1, got {v}"
+            );
         }
         for s in &figs[0].series {
             for v in &s.values {
@@ -1220,7 +1267,13 @@ mod tests {
         // DRAM-bound: nearly every access goes off-chip, and the stretched
         // latency dominates the runtime.
         let stress = |kind| {
-            run_scenario(&params, Scenario::StallStress { kind, router: RouterKind::Smart })
+            run_scenario(
+                &params,
+                Scenario::StallStress {
+                    kind,
+                    router: RouterKind::Smart,
+                },
+            )
         };
         let dram = stress(StressKind::DramBound);
         assert!(dram.completed);
@@ -1278,7 +1331,12 @@ mod tests {
     #[test]
     fn a_barrier_free_full_system_run_is_its_trace_twin() {
         let params = quick();
-        assert_eq!(Benchmark::Lu.spec().barriers_per_thread(params.mem_ops_per_core), 0);
+        assert_eq!(
+            Benchmark::Lu
+                .spec()
+                .barriers_per_thread(params.mem_ops_per_core),
+            0
+        );
         let lu = |full_system| Scenario::Trace {
             benchmark: Benchmark::Lu,
             org: OrganizationKind::LocoCcVmsIvr,
@@ -1310,10 +1368,18 @@ mod tests {
         };
         for (i, mem_ops) in [200, 4_000].into_iter().enumerate() {
             for s in spec.enumerate(&quick().with_mem_ops(mem_ops)) {
-                let Scenario::Trace { benchmark, full_system, .. } = s else {
+                let Scenario::Trace {
+                    benchmark,
+                    full_system,
+                    ..
+                } = s
+                else {
                     panic!("fig16 reads only trace scenarios: {}", s.label())
                 };
-                let (_, keep) = keeps.iter().find(|&&(b, _)| b == benchmark).expect("fig16 reads");
+                let (_, keep) = keeps
+                    .iter()
+                    .find(|&&(b, _)| b == benchmark)
+                    .expect("fig16 reads");
                 assert_eq!(full_system, keep[i], "{} at {mem_ops} mem-ops", s.label());
             }
         }
@@ -1332,7 +1398,10 @@ mod tests {
         let params = quick();
         let specs = every_figure();
         // The id `reproduce --list-figures` prints is the number, zero-padded.
-        let ids: Vec<String> = specs.iter().map(|s| format!("fig{:02}", s.number())).collect();
+        let ids: Vec<String> = specs
+            .iter()
+            .map(|s| format!("fig{:02}", s.number()))
+            .collect();
         let expected: Vec<String> = (6..=19).map(|n| format!("fig{n:02}")).collect();
         assert_eq!(ids, expected);
         let blank = SimResults::default();
@@ -1341,9 +1410,18 @@ mod tests {
             let panels = spec.build(&params, &|_| &blank);
             for f in &panels {
                 assert!(!f.title.is_empty(), "{} has no title", f.id);
-                assert!(panel_ids.insert(f.id.clone()), "panel id {} is not unique", f.id);
+                assert!(
+                    panel_ids.insert(f.id.clone()),
+                    "panel id {} is not unique",
+                    f.id
+                );
                 if !f.id.starts_with("fig17b") {
-                    assert_eq!(f.x_labels.last().map(String::as_str), Some("AVG"), "{}", f.id);
+                    assert_eq!(
+                        f.x_labels.last().map(String::as_str),
+                        Some("AVG"),
+                        "{}",
+                        f.id
+                    );
                 }
             }
             let titles: Vec<&str> = panels.iter().map(|f| f.title.as_str()).collect();
@@ -1368,7 +1446,9 @@ mod tests {
                 benchmarks: b(),
                 shapes: shapes(),
             },
-            FigureSpec::Fig15 { workloads: vec![0, 5] },
+            FigureSpec::Fig15 {
+                workloads: vec![0, 5],
+            },
             FigureSpec::Fig16 {
                 benchmarks: vec![Benchmark::Lu, Benchmark::Fft],
             },
@@ -1400,7 +1480,12 @@ mod tests {
                 results.expect(s)
             });
             let planned: FxHashSet<Scenario> = spec.enumerate(&params).into_iter().collect();
-            assert_eq!(read.into_inner().expect("read lock"), planned, "fig{:02}", spec.number());
+            assert_eq!(
+                read.into_inner().expect("read lock"),
+                planned,
+                "fig{:02}",
+                spec.number()
+            );
         }
     }
 }

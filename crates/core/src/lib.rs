@@ -51,8 +51,8 @@ pub use experiments::ExperimentParams;
 pub use report::{Figure, Series};
 
 pub use loco_cache::{
-    Address, CacheGeometry, CacheStats, ClusterShape, LineAddr, MoesiState, MsiState,
-    Organization, OrganizationKind,
+    Address, CacheGeometry, CacheStats, ClusterShape, LineAddr, MoesiState, MsiState, Organization,
+    OrganizationKind,
 };
 pub use loco_energy::{CacheEnergy, EnergyBreakdown, EnergyParams, NetworkEnergy};
 pub use loco_noc::{

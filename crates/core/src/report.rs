@@ -54,7 +54,11 @@ pub struct Figure {
 
 impl Figure {
     /// Creates an empty figure.
-    pub fn new(id: impl Into<String>, title: impl Into<String>, y_label: impl Into<String>) -> Self {
+    pub fn new(
+        id: impl Into<String>,
+        title: impl Into<String>,
+        y_label: impl Into<String>,
+    ) -> Self {
         Figure {
             id: id.into(),
             title: title.into(),

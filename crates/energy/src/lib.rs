@@ -175,7 +175,11 @@ impl EnergyParams {
                 "SSR energy",
             ),
             pipeline_fj: mul_fj(self.pipeline_pass_fj, f.pipeline_passes, "pipeline_pass"),
-            multicast_fj: mul_fj(self.multicast_fork_fj, network.multicast_forks, "multicast_fork"),
+            multicast_fj: mul_fj(
+                self.multicast_fork_fj,
+                network.multicast_forks,
+                "multicast_fork",
+            ),
         }
     }
 
@@ -259,7 +263,13 @@ impl CacheEnergy {
     /// Total cache-hierarchy energy in femtojoules (overflow-checked).
     pub fn total_fj(&self) -> u64 {
         sum_fj(
-            &[self.l1_fj, self.l2_fj, self.directory_fj, self.vms_fj, self.ivr_fj],
+            &[
+                self.l1_fj,
+                self.l2_fj,
+                self.directory_fj,
+                self.vms_fj,
+                self.ivr_fj,
+            ],
             "cache total",
         )
     }
@@ -419,7 +429,10 @@ mod tests {
         assert_eq!(b.cache.vms_fj, 17);
         assert_eq!(b.cache.ivr_fj, 18);
         assert_eq!(b.dram_fj, 39);
-        assert_eq!(b.total_fj(), 5 + 4 + 5 + 13 + 8 + 9 + 33 + 42 + 16 + 17 + 18 + 39);
+        assert_eq!(
+            b.total_fj(),
+            5 + 4 + 5 + 13 + 8 + 9 + 33 + 42 + 16 + 17 + 18 + 39
+        );
         assert!((b.epi_fj() - b.total_fj() as f64 / 100.0).abs() < 1e-12);
         assert_eq!(b.edp_fj_cycles(), u128::from(b.total_fj()) * 10);
     }

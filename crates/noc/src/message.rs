@@ -82,7 +82,13 @@ pub struct NetMessage<P> {
 
 impl<P> NetMessage<P> {
     /// Convenience constructor for a unicast message.
-    pub fn unicast(src: NodeId, dest: NodeId, vn: VirtualNetwork, size_bytes: u32, payload: P) -> Self {
+    pub fn unicast(
+        src: NodeId,
+        dest: NodeId,
+        vn: VirtualNetwork,
+        size_bytes: u32,
+        payload: P,
+    ) -> Self {
         NetMessage {
             src,
             dest: Destination::Unicast(dest),

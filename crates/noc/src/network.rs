@@ -147,8 +147,7 @@ impl<P: Clone> Network<P> {
                     stops: 0,
                     msg,
                 };
-                self.stats
-                    .record_delivery(delivered.msg.vn, 1, 0);
+                self.stats.record_delivery(delivered.msg.vn, 1, 0);
                 self.eject_queues[dest.index()].push_back(delivered);
                 self.ejectable += 1;
                 Ok(())
@@ -414,7 +413,10 @@ mod tests {
         loop {
             net.tick();
             cycles += 1;
-            assert!(cycles < limit, "network did not drain within {limit} cycles");
+            assert!(
+                cycles < limit,
+                "network did not drain within {limit} cycles"
+            );
             if net.in_flight() == 0 {
                 break;
             }

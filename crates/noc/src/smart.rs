@@ -265,10 +265,16 @@ mod tests {
         assert_eq!(c.ssr_hops, 4);
         assert_eq!(c.bypass_hops, 3);
         assert_eq!(c.stop_hops, 1);
-        assert_eq!(c.crossbar_traversals, 4, "every router on the path is crossed");
+        assert_eq!(
+            c.crossbar_traversals, 4,
+            "every router on the path is crossed"
+        );
         assert_eq!(c.link_flit_hops, 4);
         assert_eq!(c.buffer_reads, 1);
-        assert_eq!(c.buffer_writes, 1, "injection only; the bypass never latches");
+        assert_eq!(
+            c.buffer_writes, 1,
+            "injection only; the bypass never latches"
+        );
         assert_eq!(c.premature_stops, 0);
         assert_eq!(c.express_traversals, 0, "no express links on SMART");
     }

@@ -325,8 +325,14 @@ mod tests {
         let sw = m.node_at(Coord::new(0, 0));
         assert_eq!(m.neighbor(sw, Direction::West), None);
         assert_eq!(m.neighbor(sw, Direction::South), None);
-        assert_eq!(m.neighbor(sw, Direction::East), Some(m.node_at(Coord::new(1, 0))));
-        assert_eq!(m.neighbor(sw, Direction::North), Some(m.node_at(Coord::new(0, 1))));
+        assert_eq!(
+            m.neighbor(sw, Direction::East),
+            Some(m.node_at(Coord::new(1, 0)))
+        );
+        assert_eq!(
+            m.neighbor(sw, Direction::North),
+            Some(m.node_at(Coord::new(0, 1)))
+        );
         assert_eq!(m.neighbor(sw, Direction::Local), None);
     }
 
@@ -349,8 +355,14 @@ mod tests {
     fn advance_clamps_at_edge() {
         let m = Mesh::new(4, 4);
         let a = m.node_at(Coord::new(2, 2));
-        assert_eq!(m.advance(a, Direction::East, 5), m.node_at(Coord::new(3, 2)));
-        assert_eq!(m.advance(a, Direction::South, 10), m.node_at(Coord::new(2, 0)));
+        assert_eq!(
+            m.advance(a, Direction::East, 5),
+            m.node_at(Coord::new(3, 2))
+        );
+        assert_eq!(
+            m.advance(a, Direction::South, 10),
+            m.node_at(Coord::new(2, 0))
+        );
         assert_eq!(m.advance(a, Direction::Local, 3), a);
     }
 

@@ -175,7 +175,12 @@ impl MulticastTree {
         at: NodeId,
         travelling: Option<Direction>,
     ) -> impl Iterator<Item = (Direction, NodeId)> {
-        let slots = self.next.get(at.index()).copied().flatten().unwrap_or_default();
+        let slots = self
+            .next
+            .get(at.index())
+            .copied()
+            .flatten()
+            .unwrap_or_default();
         let dirs: &'static [Direction] = match travelling {
             None => &[
                 Direction::East,
@@ -214,7 +219,10 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(vms.members().iter().copied().collect::<HashSet<_>>(), expect);
+        assert_eq!(
+            vms.members().iter().copied().collect::<HashSet<_>>(),
+            expect
+        );
     }
 
     #[test]

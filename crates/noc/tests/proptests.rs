@@ -13,8 +13,14 @@ use loco_noc::{
 
 fn deliver_one(cfg: NocConfig, src: NodeId, dest: NodeId) -> (u64, u32) {
     let mut net: Network<()> = Network::new(cfg);
-    net.inject(NetMessage::unicast(src, dest, VirtualNetwork::Request, 8, ()))
-        .expect("inject into empty network");
+    net.inject(NetMessage::unicast(
+        src,
+        dest,
+        VirtualNetwork::Request,
+        8,
+        (),
+    ))
+    .expect("inject into empty network");
     for _ in 0..20_000 {
         net.tick();
         if let Some(d) = net.eject(dest).pop() {
@@ -73,7 +79,10 @@ fn smart_dominates_conventional() {
         let corner = NodeId(side * side - 1);
         let (smart, _) = deliver_one(NocConfig::smart_mesh(side, side, 4), NodeId(0), corner);
         let (conv, _) = deliver_one(NocConfig::conventional_mesh(side, side), NodeId(0), corner);
-        assert!(2 * smart <= conv, "{side}x{side} corner to corner: SMART {smart} vs conventional {conv}");
+        assert!(
+            2 * smart <= conv,
+            "{side}x{side} corner to corner: SMART {smart} vs conventional {conv}"
+        );
     }
     let mut rng = SplitMix64::new(0x50c2);
     for case in 0..64 {
@@ -89,10 +98,17 @@ fn smart_dominates_conventional() {
             deliver_one(NocConfig::smart_mesh(width, height, 4), src, dest);
         let (conv_lat, conv_stops) =
             deliver_one(NocConfig::conventional_mesh(width, height), src, dest);
-        assert!(smart_lat <= conv_lat, "case {case}: {smart_lat} > {conv_lat}");
+        assert!(
+            smart_lat <= conv_lat,
+            "case {case}: {smart_lat} > {conv_lat}"
+        );
         assert!(smart_stops <= conv_stops, "case {case}");
         assert_eq!(conv_stops as u16, mesh.hops(src, dest), "case {case}");
-        assert_eq!(smart_stops as u16, mesh.smart_hops(src, dest, 4), "case {case}");
+        assert_eq!(
+            smart_stops as u16,
+            mesh.smart_hops(src, dest, 4),
+            "case {case}"
+        );
     }
 }
 
@@ -118,8 +134,14 @@ fn vms_broadcast_covers_every_member_exactly_once() {
 
         let mut net: Network<u8> = Network::new(NocConfig::smart_mesh(8, 8, 4));
         let group = net.register_multicast_group(members.clone());
-        net.inject(NetMessage::multicast(root, group, VirtualNetwork::Broadcast, 8, 0))
-            .unwrap();
+        net.inject(NetMessage::multicast(
+            root,
+            group,
+            VirtualNetwork::Broadcast,
+            8,
+            0,
+        ))
+        .unwrap();
         let mut seen = std::collections::HashMap::new();
         for _ in 0..2_000 {
             net.tick();
@@ -132,7 +154,11 @@ fn vms_broadcast_covers_every_member_exactly_once() {
                 break;
             }
         }
-        assert_eq!(seen.len(), members.len() - 1, "case {case}: missing receivers");
+        assert_eq!(
+            seen.len(),
+            members.len() - 1,
+            "case {case}: missing receivers"
+        );
         assert!(
             seen.values().all(|&c| c == 1),
             "case {case}: duplicate deliveries: {seen:?}"
@@ -155,7 +181,9 @@ fn xy_routing_reaches_destination() {
         let mut cur = a;
         let mut steps = 0;
         while let Some(dir) = mesh.xy_next_dir(cur, b) {
-            cur = mesh.neighbor(cur, dir).expect("route stays inside the mesh");
+            cur = mesh
+                .neighbor(cur, dir)
+                .expect("route stays inside the mesh");
             steps += 1;
             assert!(steps <= mesh.hops(a, b), "case {case}: route overshoots");
         }

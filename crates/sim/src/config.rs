@@ -105,8 +105,12 @@ impl SystemConfig {
     /// The NoC configuration.
     pub fn noc_config(&self) -> NocConfig {
         match self.router {
-            RouterKind::Smart => NocConfig::smart_mesh(self.mesh_width, self.mesh_height, self.hpc_max),
-            RouterKind::Conventional => NocConfig::conventional_mesh(self.mesh_width, self.mesh_height),
+            RouterKind::Smart => {
+                NocConfig::smart_mesh(self.mesh_width, self.mesh_height, self.hpc_max)
+            }
+            RouterKind::Conventional => {
+                NocConfig::conventional_mesh(self.mesh_width, self.mesh_height)
+            }
             RouterKind::HighRadix => {
                 NocConfig::highradix_mesh(self.mesh_width, self.mesh_height, self.hpc_max)
             }

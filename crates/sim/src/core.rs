@@ -232,8 +232,8 @@ impl CoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loco_cache::{CacheGeometry, MsgKind, Organization, ProtocolMsg, ResponseSource};
     use loco_cache::{Agent, LineAddr};
+    use loco_cache::{CacheGeometry, MsgKind, Organization, ProtocolMsg, ResponseSource};
     use loco_noc::Mesh;
     use loco_workloads::CoreTrace;
 
@@ -265,7 +265,10 @@ mod tests {
         let mut l1 = l1();
         let mut out = Vec::new();
         for now in 0..3 {
-            assert_eq!(core.tick(now, &mut l1, &mut out, false), CoreStatus::Running);
+            assert_eq!(
+                core.tick(now, &mut l1, &mut out, false),
+                CoreStatus::Running
+            );
         }
         assert_eq!(core.tick(3, &mut l1, &mut out, false), CoreStatus::Finished);
         assert_eq!(core.instructions(), 3);
@@ -284,7 +287,10 @@ mod tests {
         fill_l1(&mut l1, 0x1000, 10);
         core.on_fill();
         assert_eq!(core.tick(11, &mut l1, &mut out, false), CoreStatus::Running);
-        assert_eq!(core.tick(12, &mut l1, &mut out, false), CoreStatus::Finished);
+        assert_eq!(
+            core.tick(12, &mut l1, &mut out, false),
+            CoreStatus::Finished
+        );
     }
 
     #[test]
@@ -311,8 +317,14 @@ mod tests {
         fill_l1(&mut l1, flag.0, 5);
         core.on_fill();
         // Now the core reports it is at the barrier until released.
-        assert_eq!(core.tick(6, &mut l1, &mut out, true), CoreStatus::AtBarrier(1));
-        assert_eq!(core.tick(7, &mut l1, &mut out, true), CoreStatus::AtBarrier(1));
+        assert_eq!(
+            core.tick(6, &mut l1, &mut out, true),
+            CoreStatus::AtBarrier(1)
+        );
+        assert_eq!(
+            core.tick(7, &mut l1, &mut out, true),
+            CoreStatus::AtBarrier(1)
+        );
         core.on_barrier_release();
         assert_eq!(core.tick(8, &mut l1, &mut out, true), CoreStatus::Running);
         assert_eq!(core.tick(9, &mut l1, &mut out, true), CoreStatus::Finished);
@@ -327,19 +339,31 @@ mod tests {
             let mut core = CoreModel::new(NodeId(0), trace, 0);
             let mut l1 = l1();
             let mut out = Vec::new();
-            assert_eq!(l1.access(Address(0x9000), false, 0, &mut out), L1Access::Miss);
+            assert_eq!(
+                l1.access(Address(0x9000), false, 0, &mut out),
+                L1Access::Miss
+            );
             for now in 1..4 {
-                assert_eq!(core.tick(now, &mut l1, &mut out, model_barriers), CoreStatus::Stalled);
+                assert_eq!(
+                    core.tick(now, &mut l1, &mut out, model_barriers),
+                    CoreStatus::Stalled
+                );
             }
             assert_eq!(core.instructions(), 0);
             fill_l1(&mut l1, 0x9000, 4);
             out.clear();
-            assert_eq!(core.tick(5, &mut l1, &mut out, model_barriers), CoreStatus::Stalled);
+            assert_eq!(
+                core.tick(5, &mut l1, &mut out, model_barriers),
+                CoreStatus::Stalled
+            );
             let line = match op {
                 TraceOp::Barrier(id) => CoreModel::barrier_flag_address(0, id).line(32),
                 _ => Address(0x1000).line(32),
             };
-            assert_eq!(out[0].msg.addr, line, "{op:?} is issued once the L1 frees up");
+            assert_eq!(
+                out[0].msg.addr, line,
+                "{op:?} is issued once the L1 frees up"
+            );
             assert_eq!(core.instructions(), 1);
         }
     }

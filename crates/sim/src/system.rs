@@ -120,9 +120,15 @@ impl BarrierTracker {
     fn arrive(&mut self, core: usize, id: u32) -> Option<usize> {
         let g = self.group_of[core];
         let (size, open_id, arrived) = &mut self.open[g];
-        debug_assert!(*arrived == 0 || *open_id == id, "two open barriers in group {g}");
+        debug_assert!(
+            *arrived == 0 || *open_id == id,
+            "two open barriers in group {g}"
+        );
         *open_id = id;
-        let (word, bit) = (&mut self.arrived[g * self.words + core / 64], 1 << (core % 64));
+        let (word, bit) = (
+            &mut self.arrived[g * self.words + core / 64],
+            1 << (core % 64),
+        );
         *arrived += usize::from(*word & bit == 0);
         *word |= bit;
         (*arrived >= *size).then_some(g)
@@ -216,7 +222,11 @@ impl CmpSystem {
     ///
     /// Panics if there are more traces than tiles or the group vector length
     /// does not match.
-    pub fn with_groups(cfg: SystemConfig, mut traces: Vec<CoreTrace>, mut groups: Vec<usize>) -> Self {
+    pub fn with_groups(
+        cfg: SystemConfig,
+        mut traces: Vec<CoreTrace>,
+        mut groups: Vec<usize>,
+    ) -> Self {
         let cores_n = cfg.num_cores();
         assert!(
             traces.len() <= cores_n,
@@ -626,9 +636,7 @@ impl CmpSystem {
             .filter_map(CoreModel::finished_at)
             .max()
             .unwrap_or(self.now)
-            .max(
-                if self.all_finished() { 0 } else { self.now },
-            );
+            .max(if self.all_finished() { 0 } else { self.now });
         SimResults {
             runtime_cycles: runtime,
             completed: self.all_finished(),
@@ -716,7 +724,11 @@ mod tests {
 
     #[test]
     fn every_router_kind_runs_to_completion() {
-        for router in [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix] {
+        for router in [
+            RouterKind::Smart,
+            RouterKind::Conventional,
+            RouterKind::HighRadix,
+        ] {
             let cfg = small_cfg(OrganizationKind::LocoCcVms).with_router(router);
             let mut sys = CmpSystem::new(cfg, small_traces(120, 16));
             let r = sys.run(2_000_000);

@@ -11,7 +11,6 @@
 //! barnes/fft communicate chip-wide — the `SharingPattern` field captures
 //! exactly that distinction.
 
-
 /// How a benchmark's shared data is communicated between threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SharingPattern {

@@ -55,16 +55,91 @@ impl MultiProgramWorkload {
                 .collect(),
         };
         vec![
-            w("W0", &[(Blackscholes, 4, 4), (Ferret, 4, 4), (Fmm, 4, 4), (Lu, 4, 4)]),
-            w("W1", &[(Nlu, 4, 4), (Swaptions, 4, 4), (WaterNsq, 4, 4), (WaterSpatial, 4, 4)]),
-            w("W2", &[(Blackscholes, 4, 4), (Ferret, 4, 4), (WaterNsq, 4, 4), (WaterSpatial, 4, 4)]),
-            w("W3", &[(Fmm, 4, 4), (Lu, 4, 4), (Nlu, 4, 4), (Swaptions, 4, 4)]),
-            w("W4", &[(Blackscholes, 4, 4), (Ferret, 4, 4), (Nlu, 4, 4), (Swaptions, 4, 4)]),
-            w("W5", &[(Blackscholes, 8, 2), (Ferret, 8, 2), (Fmm, 8, 2), (Lu, 8, 2)]),
-            w("W6", &[(Nlu, 8, 2), (Swaptions, 8, 2), (WaterNsq, 8, 2), (WaterSpatial, 8, 2)]),
-            w("W7", &[(Blackscholes, 8, 2), (Ferret, 8, 2), (WaterNsq, 8, 2), (WaterSpatial, 8, 2)]),
-            w("W8", &[(Blackscholes, 16, 1), (Ferret, 16, 1), (Fmm, 16, 1), (Lu, 16, 1)]),
-            w("W9", &[(Nlu, 16, 1), (Swaptions, 16, 1), (WaterNsq, 16, 1), (WaterSpatial, 16, 1)]),
+            w(
+                "W0",
+                &[
+                    (Blackscholes, 4, 4),
+                    (Ferret, 4, 4),
+                    (Fmm, 4, 4),
+                    (Lu, 4, 4),
+                ],
+            ),
+            w(
+                "W1",
+                &[
+                    (Nlu, 4, 4),
+                    (Swaptions, 4, 4),
+                    (WaterNsq, 4, 4),
+                    (WaterSpatial, 4, 4),
+                ],
+            ),
+            w(
+                "W2",
+                &[
+                    (Blackscholes, 4, 4),
+                    (Ferret, 4, 4),
+                    (WaterNsq, 4, 4),
+                    (WaterSpatial, 4, 4),
+                ],
+            ),
+            w(
+                "W3",
+                &[(Fmm, 4, 4), (Lu, 4, 4), (Nlu, 4, 4), (Swaptions, 4, 4)],
+            ),
+            w(
+                "W4",
+                &[
+                    (Blackscholes, 4, 4),
+                    (Ferret, 4, 4),
+                    (Nlu, 4, 4),
+                    (Swaptions, 4, 4),
+                ],
+            ),
+            w(
+                "W5",
+                &[
+                    (Blackscholes, 8, 2),
+                    (Ferret, 8, 2),
+                    (Fmm, 8, 2),
+                    (Lu, 8, 2),
+                ],
+            ),
+            w(
+                "W6",
+                &[
+                    (Nlu, 8, 2),
+                    (Swaptions, 8, 2),
+                    (WaterNsq, 8, 2),
+                    (WaterSpatial, 8, 2),
+                ],
+            ),
+            w(
+                "W7",
+                &[
+                    (Blackscholes, 8, 2),
+                    (Ferret, 8, 2),
+                    (WaterNsq, 8, 2),
+                    (WaterSpatial, 8, 2),
+                ],
+            ),
+            w(
+                "W8",
+                &[
+                    (Blackscholes, 16, 1),
+                    (Ferret, 16, 1),
+                    (Fmm, 16, 1),
+                    (Lu, 16, 1),
+                ],
+            ),
+            w(
+                "W9",
+                &[
+                    (Nlu, 16, 1),
+                    (Swaptions, 16, 1),
+                    (WaterNsq, 16, 1),
+                    (WaterSpatial, 16, 1),
+                ],
+            ),
         ]
     }
 
@@ -74,7 +149,10 @@ impl MultiProgramWorkload {
     ///
     /// Panics if `i > 9`.
     pub fn table2_entry(i: usize) -> MultiProgramWorkload {
-        Self::table2().into_iter().nth(i).expect("workload index 0..=9")
+        Self::table2()
+            .into_iter()
+            .nth(i)
+            .expect("workload index 0..=9")
     }
 
     /// Workload name ("W0" .. "W9").
@@ -94,10 +172,7 @@ impl MultiProgramWorkload {
 
     /// Total number of cores the workload occupies.
     pub fn total_cores(&self) -> usize {
-        self.tasks
-            .iter()
-            .map(|t| t.threads * t.instances)
-            .sum()
+        self.tasks.iter().map(|t| t.threads * t.instances).sum()
     }
 
     /// Assigns task instances to consecutive blocks of cores (each block is
@@ -160,7 +235,12 @@ mod tests {
         let all = MultiProgramWorkload::table2();
         assert_eq!(all.len(), 10);
         for w in &all {
-            assert_eq!(w.total_cores(), 64, "{} must fill the 64-core CMP", w.name());
+            assert_eq!(
+                w.total_cores(),
+                64,
+                "{} must fill the 64-core CMP",
+                w.name()
+            );
         }
     }
 

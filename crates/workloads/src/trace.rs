@@ -315,7 +315,12 @@ impl TraceGenerator {
     /// memory operations (plus interleaved compute and optional barriers).
     /// Nothing is generated here: each trace is replayed on demand
     /// ([`CoreTrace::ops`]).
-    pub fn generate(&self, spec: &BenchmarkSpec, threads: usize, mem_ops_per_thread: u64) -> Vec<CoreTrace> {
+    pub fn generate(
+        &self,
+        spec: &BenchmarkSpec,
+        threads: usize,
+        mem_ops_per_thread: u64,
+    ) -> Vec<CoreTrace> {
         (0..threads)
             .map(|thread| {
                 CoreTrace(Source::Generated(Recipe {
@@ -453,11 +458,20 @@ mod tests {
     /// the plain trace (barriers draw nothing from the RNG).
     #[test]
     fn barriers_only_in_fullsystem_mode() {
-        let pairs = [(8, 100), (100, 99), (100, 100), (100, 101), (2_500, 2_000), (2_500, 5_000)];
+        let pairs = [
+            (8, 100),
+            (100, 99),
+            (100, 100),
+            (100, 101),
+            (2_500, 2_000),
+            (2_500, 5_000),
+        ];
         for (interval, mem_ops) in pairs {
             let spec = Benchmark::Fft.spec().barrier_interval(interval);
             let plain = TraceGenerator::new(1).generate(&spec, 2, mem_ops);
-            let fs = TraceGenerator::new(1).with_barriers(true).generate(&spec, 2, mem_ops);
+            let fs = TraceGenerator::new(1)
+                .with_barriers(true)
+                .generate(&spec, 2, mem_ops);
             let expected = spec.barriers_per_thread(mem_ops);
             for (p, f) in plain.iter().zip(&fs) {
                 assert_eq!(p.barriers(), 0);
@@ -498,8 +512,12 @@ mod tests {
     #[test]
     fn task_offsets_separate_address_spaces() {
         let spec = Benchmark::Lu.spec();
-        let t0 = TraceGenerator::new(1).with_task_offset(0).generate(&spec, 2, 500);
-        let t1 = TraceGenerator::new(1).with_task_offset(1).generate(&spec, 2, 500);
+        let t0 = TraceGenerator::new(1)
+            .with_task_offset(0)
+            .generate(&spec, 2, 500);
+        let t1 = TraceGenerator::new(1)
+            .with_task_offset(1)
+            .generate(&spec, 2, 500);
         let lines = |t: &CoreTrace| -> HashSet<u64> {
             t.ops()
                 .filter_map(|o| match o {

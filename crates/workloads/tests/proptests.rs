@@ -128,8 +128,12 @@ fn task_offsets_never_collide() {
             continue;
         }
         let spec = Benchmark::Barnes.spec();
-        let a = TraceGenerator::new(seed).with_task_offset(t1).generate(&spec, 1, 300);
-        let b = TraceGenerator::new(seed).with_task_offset(t2).generate(&spec, 1, 300);
+        let a = TraceGenerator::new(seed)
+            .with_task_offset(t1)
+            .generate(&spec, 1, 300);
+        let b = TraceGenerator::new(seed)
+            .with_task_offset(t2)
+            .generate(&spec, 1, 300);
         let lines = |t: &loco_workloads::CoreTrace| -> HashSet<u64> {
             t.ops()
                 .filter_map(|o| match o {

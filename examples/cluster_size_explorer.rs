@@ -18,7 +18,11 @@ fn main() {
         ClusterShape::new(8, 1),
         ClusterShape::new(4, 4),
     ];
-    let benchmarks = [Benchmark::Swaptions, Benchmark::WaterSpatial, Benchmark::Radix];
+    let benchmarks = [
+        Benchmark::Swaptions,
+        Benchmark::WaterSpatial,
+        Benchmark::Radix,
+    ];
     let params = ExperimentParams::paper_64().with_mem_ops(800);
 
     // Plan: one scenario per (benchmark, shape), deduplicated.

@@ -54,7 +54,9 @@ fn main() {
         } else if let Some(s) = smart_runtime {
             println!(
                 "{:<22} {:>14} {:>16} {:>13.1}%",
-                "  vs SMART", "", "",
+                "  vs SMART",
+                "",
+                "",
                 100.0 * (r.runtime_cycles as f64 / s as f64 - 1.0)
             );
         }

@@ -16,8 +16,14 @@ fn main() {
         ..ExperimentParams::paper_64().with_mem_ops(1_000)
     };
     let run = |org| {
-        let r = run_scenario(&params, Scenario::default_trace(&params, Benchmark::Lu, org));
-        assert!(r.completed, "{org:?} did not finish within the cycle budget");
+        let r = run_scenario(
+            &params,
+            Scenario::default_trace(&params, Benchmark::Lu, org),
+        );
+        assert!(
+            r.completed,
+            "{org:?} did not finish within the cycle budget"
+        );
         r
     };
     // The paper's full LOCO design (clusters + VMS broadcasts + IVR) on the

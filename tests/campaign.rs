@@ -47,13 +47,7 @@ fn composing_fig06_and_fig11_enumerates_each_scenario_once() {
 #[test]
 fn one_thread_and_four_thread_executions_are_identical() {
     let params = quick();
-    let specs = [
-        fig06(),
-        fig11(),
-        FigureSpec::Fig15 {
-            workloads: vec![0],
-        },
-    ];
+    let specs = [fig06(), fig11(), FigureSpec::Fig15 { workloads: vec![0] }];
     let mut plan = CampaignPlan::new();
     for spec in &specs {
         plan.add_figure(spec, &params);
@@ -89,7 +83,10 @@ fn senseless_thread_counts_are_rejected_with_a_clear_error() {
     // thousands of idle workers) must error loudly instead of degrading.
     use loco::campaign::{Executor as E, MAX_EXPLICIT_THREADS};
     assert_eq!(E::try_new(4).unwrap().threads(), 4);
-    assert!(E::try_new(0).is_ok(), "0 = all cores is documented and valid");
+    assert!(
+        E::try_new(0).is_ok(),
+        "0 = all cores is documented and valid"
+    );
     assert!(E::try_new(MAX_EXPLICIT_THREADS).is_ok());
     let err = E::try_new(1_000_000).unwrap_err();
     assert!(err.contains("1000000"), "error must name the value: {err}");

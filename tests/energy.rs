@@ -68,10 +68,7 @@ fn golden_energy_fingerprint() {
 #[test]
 fn energy_is_identical_between_run_and_run_naive() {
     let energy = EnergyParams::default();
-    for org in [
-        OrganizationKind::Shared,
-        OrganizationKind::LocoCcVmsIvr,
-    ] {
+    for org in [OrganizationKind::Shared, OrganizationKind::LocoCcVmsIvr] {
         let system = || barnes(org, RouterKind::Smart).system(&params());
         let event = energy.breakdown(&system().run(8_000_000));
         let naive = energy.breakdown(&system().run_naive(8_000_000));

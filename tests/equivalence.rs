@@ -7,7 +7,7 @@
 //! per-component invariants).
 
 use loco::{
-    Benchmark, CmpSystem, ClusterShape, EnergyParams, ExperimentParams, OrganizationKind,
+    Benchmark, ClusterShape, CmpSystem, EnergyParams, ExperimentParams, OrganizationKind,
     RouterKind, Scenario, SimResults, SplitMix64, StressKind, SystemConfig, TraceGenerator,
 };
 
@@ -84,7 +84,11 @@ fn every_organization_is_equivalent_under_cycle_skipping() {
 
 #[test]
 fn every_router_kind_is_equivalent_under_cycle_skipping() {
-    for router in [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix] {
+    for router in [
+        RouterKind::Smart,
+        RouterKind::Conventional,
+        RouterKind::HighRadix,
+    ] {
         let event = barnes(OrganizationKind::LocoCcVms, router).run(8_000_000);
         let naive = barnes(OrganizationKind::LocoCcVms, router).run_naive(8_000_000);
         assert!(event.completed, "{router:?} must complete");
@@ -120,7 +124,9 @@ fn multiprogram_barrier_groups_are_equivalent_under_cycle_skipping() {
     cfg.cluster = ClusterShape::new(2, 2);
     cfg.full_system = true;
     let spec = Benchmark::Lu.spec();
-    let traces = TraceGenerator::new(5).with_barriers(true).generate(&spec, 16, 200);
+    let traces = TraceGenerator::new(5)
+        .with_barriers(true)
+        .generate(&spec, 16, 200);
     let groups: Vec<usize> = (0..16).map(|i| i / 8).collect();
     let event = CmpSystem::with_groups(cfg, traces.clone(), groups.clone()).run(8_000_000);
     let naive = CmpSystem::with_groups(cfg, traces, groups).run_naive(8_000_000);
@@ -181,7 +187,11 @@ fn stall_stress_scenarios_are_equivalent_under_cycle_skipping() {
     // fine-grained horizon newly skips, so they get their own equivalence
     // coverage in addition to the randomized sweep.
     for kind in StressKind::ALL {
-        for router in [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix] {
+        for router in [
+            RouterKind::Smart,
+            RouterKind::Conventional,
+            RouterKind::HighRadix,
+        ] {
             let event = stress_system(kind, router, 150).run(20_000_000);
             let naive = stress_system(kind, router, 150).run_naive(20_000_000);
             assert!(event.completed, "{kind:?}/{router:?} must complete");
@@ -199,7 +209,11 @@ fn horizon_skips_while_packets_are_in_flight() {
     // degenerates the probe back to drain-only, this count drops to zero and
     // the assertion fails loudly.
     for kind in StressKind::ALL {
-        for router in [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix] {
+        for router in [
+            RouterKind::Smart,
+            RouterKind::Conventional,
+            RouterKind::HighRadix,
+        ] {
             let mut sys = stress_system(kind, router, 150);
             let r = sys.run(20_000_000);
             assert!(r.completed, "{kind:?}/{router:?} must complete");
@@ -252,8 +266,11 @@ fn random_config(rng: &mut SplitMix64) -> RandomConfig {
         OrganizationKind::LocoCcVms,
         OrganizationKind::LocoCcVmsIvr,
     ];
-    const ROUTERS: [RouterKind; 3] =
-        [RouterKind::Smart, RouterKind::Conventional, RouterKind::HighRadix];
+    const ROUTERS: [RouterKind; 3] = [
+        RouterKind::Smart,
+        RouterKind::Conventional,
+        RouterKind::HighRadix,
+    ];
     // Meshes and cluster shapes that tile them (cluster tiles must be a
     // power of two). Small systems keep the naive reference runs fast.
     const MESHES: [(u16, u16); 3] = [(2, 2), (4, 2), (4, 4)];

@@ -33,10 +33,18 @@ impl Testbench {
         Testbench {
             org,
             l1s: (0..n)
-                .map(|i| L1Controller::new(NodeId(i as u16), loco_cache::CacheGeometry::asplos_l1(), org))
+                .map(|i| {
+                    L1Controller::new(
+                        NodeId(i as u16),
+                        loco_cache::CacheGeometry::asplos_l1(),
+                        org,
+                    )
+                })
                 .collect(),
             l2s: (0..n)
-                .map(|i| L2Controller::new(NodeId(i as u16), L2Config::default(), org, memmap.clone()))
+                .map(|i| {
+                    L2Controller::new(NodeId(i as u16), L2Config::default(), org, memmap.clone())
+                })
                 .collect(),
             dirs: memmap
                 .controllers()
@@ -56,7 +64,10 @@ impl Testbench {
     fn push_all(&mut self, out: Vec<Outgoing>, from: NodeId) {
         for o in out {
             // Broadcasts are expanded to every other home node of the VMS.
-            if matches!(o.msg.kind, loco_cache::MsgKind::BcastGetS | loco_cache::MsgKind::BcastGetM) {
+            if matches!(
+                o.msg.kind,
+                loco_cache::MsgKind::BcastGetS | loco_cache::MsgKind::BcastGetM
+            ) {
                 for member in self.org.vms_members(o.msg.addr) {
                     if member != from {
                         let mut m = o.msg;
@@ -156,7 +167,11 @@ fn read_then_remote_read_creates_exactly_one_owner_and_one_sharer() {
     // Core 0 (cluster 0) reads, then core 36 (cluster 3) reads the same line.
     tb.access(0, 0x8000, false);
     let holders = tb.holders(0x8000);
-    assert_eq!(holders.len(), 1, "one cluster caches the line after a cold read");
+    assert_eq!(
+        holders.len(),
+        1,
+        "one cluster caches the line after a cold read"
+    );
     assert!(holders[0].1.is_owner());
 
     tb.access(36, 0x8000, false);
@@ -177,7 +192,11 @@ fn write_invalidates_every_other_cluster() {
     // A core in cluster 1 writes.
     tb.access(7, 0x9000, true);
     let holders = tb.holders(0x9000);
-    assert_eq!(holders.len(), 1, "only the writer's cluster keeps a copy: {holders:?}");
+    assert_eq!(
+        holders.len(),
+        1,
+        "only the writer's cluster keeps a copy: {holders:?}"
+    );
     assert_eq!(holders[0].1, MoesiState::M);
     // The writer's home node is in the writer's cluster.
     let org = loco_vms_org();
@@ -213,7 +232,11 @@ fn shared_baseline_keeps_a_single_l2_copy_chip_wide() {
     tb.access(13, 0xc000, false);
     tb.access(42, 0xc000, true);
     let holders = tb.holders(0xc000);
-    assert_eq!(holders.len(), 1, "the shared LLC never replicates: {holders:?}");
+    assert_eq!(
+        holders.len(),
+        1,
+        "the shared LLC never replicates: {holders:?}"
+    );
 }
 
 #[test]

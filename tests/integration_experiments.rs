@@ -105,7 +105,11 @@ fn loco_average_runtime_improves_on_shared() {
     // required here; the paper-scale (64-core) claim is asserted in
     // `integration_system::loco_runtime_beats_the_shared_baseline_...`.
     let fig = figure(FigureSpec::Fig11 {
-        benchmarks: vec![Benchmark::Lu, Benchmark::Blackscholes, Benchmark::WaterSpatial],
+        benchmarks: vec![
+            Benchmark::Lu,
+            Benchmark::Blackscholes,
+            Benchmark::WaterSpatial,
+        ],
     });
     assert_eq!(fig.series.len(), 4);
     for s in &fig.series {
@@ -178,7 +182,10 @@ fn multiprogram_figure_reports_all_three_organizations() {
         assert_finite(off);
         assert_finite(run);
         let labels: Vec<&str> = off.series.iter().map(|s| s.label.as_str()).collect();
-        assert_eq!(labels, vec!["Shared Cache", "Clustered Cache", "LOCO CC+VMS+IVR"]);
+        assert_eq!(
+            labels,
+            vec!["Shared Cache", "Clustered Cache", "LOCO CC+VMS+IVR"]
+        );
         assert_eq!(run.series.len(), 3);
         assert!(run.average_of("Shared Cache").unwrap() > 0.0, "W{workload}");
     }

@@ -3,9 +3,7 @@
 //! cache organization, and back-pressure behaviour.
 
 use loco_cache::{ClusterShape, LineAddr, Organization, OrganizationKind};
-use loco_noc::{
-    Coord, Mesh, NetMessage, Network, NocConfig, NodeId, VirtualMesh, VirtualNetwork,
-};
+use loco_noc::{Coord, Mesh, NetMessage, Network, NocConfig, NodeId, VirtualMesh, VirtualNetwork};
 
 #[test]
 fn organization_vms_matches_virtual_mesh_membership() {
@@ -19,8 +17,7 @@ fn organization_vms_matches_virtual_mesh_membership() {
             org.vms_members(line).into_iter().collect();
         let offset = Coord::new((hnid % 4) as u16, (hnid / 4) as u16);
         let vms = VirtualMesh::new(mesh, 4, 4, offset);
-        let from_noc: std::collections::BTreeSet<NodeId> =
-            vms.members().iter().copied().collect();
+        let from_noc: std::collections::BTreeSet<NodeId> = vms.members().iter().copied().collect();
         assert_eq!(from_org, from_noc, "hnid {hnid}");
     }
 }
@@ -35,10 +32,22 @@ fn protocol_sized_messages_travel_every_fabric() {
         NocConfig::highradix_mesh(8, 8, 4),
     ] {
         let mut net: Network<&str> = Network::new(cfg);
-        net.inject(NetMessage::unicast(NodeId(0), NodeId(27), VirtualNetwork::Request, 8, "req"))
-            .unwrap();
-        net.inject(NetMessage::unicast(NodeId(27), NodeId(0), VirtualNetwork::Response, 40, "data"))
-            .unwrap();
+        net.inject(NetMessage::unicast(
+            NodeId(0),
+            NodeId(27),
+            VirtualNetwork::Request,
+            8,
+            "req",
+        ))
+        .unwrap();
+        net.inject(NetMessage::unicast(
+            NodeId(27),
+            NodeId(0),
+            VirtualNetwork::Response,
+            40,
+            "data",
+        ))
+        .unwrap();
         let mut got = 0;
         for _ in 0..500 {
             net.tick();
@@ -60,8 +69,14 @@ fn vms_broadcast_over_the_real_fabric_reaches_all_home_nodes_quickly() {
     let mut net: Network<u64> = Network::new(NocConfig::smart_mesh(8, 8, 4));
     let group = net.register_multicast_group(members.clone());
     let root = org.home_node(NodeId(0), line);
-    net.inject(NetMessage::multicast(root, group, VirtualNetwork::Broadcast, 8, 99))
-        .unwrap();
+    net.inject(NetMessage::multicast(
+        root,
+        group,
+        VirtualNetwork::Broadcast,
+        8,
+        99,
+    ))
+    .unwrap();
     let mut latencies = Vec::new();
     for _ in 0..200 {
         net.tick();
@@ -92,7 +107,13 @@ fn sustained_injection_backpressure_never_loses_messages() {
     for cycle in 0..400u32 {
         if cycle < 200 {
             for src in 0..15u16 {
-                let m = NetMessage::unicast(NodeId(src), NodeId(15), VirtualNetwork::Request, 8, next_id);
+                let m = NetMessage::unicast(
+                    NodeId(src),
+                    NodeId(15),
+                    VirtualNetwork::Request,
+                    8,
+                    next_id,
+                );
                 next_id += 1;
                 backlog.push(m);
             }
@@ -125,7 +146,10 @@ fn sustained_injection_backpressure_never_loses_messages() {
         received += net.eject(NodeId(15)).len() as u32;
     }
     assert_eq!(received, sent, "every accepted message must be delivered");
-    assert!(sent >= 1_000, "the fabric should have absorbed a lot of traffic");
+    assert!(
+        sent >= 1_000,
+        "the fabric should have absorbed a lot of traffic"
+    );
 }
 
 #[test]
@@ -153,5 +177,8 @@ fn conventional_fabric_is_consistently_slower_than_smart_for_protocol_traffic() 
     };
     let smart = run(NocConfig::smart_mesh(8, 8, 4));
     let conv = run(NocConfig::conventional_mesh(8, 8));
-    assert!(smart * 2.0 < conv, "smart {smart:.1} vs conventional {conv:.1}");
+    assert!(
+        smart * 2.0 < conv,
+        "smart {smart:.1} vs conventional {conv:.1}"
+    );
 }

@@ -51,9 +51,24 @@ fn all_five_organizations_complete_on_the_64_core_cmp() {
 #[test]
 fn loco_l2_hit_latency_sits_between_private_and_shared() {
     // Figure 7: private < LOCO << shared for L2 hit latency.
-    let private = run_64(Benchmark::Lu, OrganizationKind::Private, RouterKind::Smart, 400);
-    let loco = run_64(Benchmark::Lu, OrganizationKind::LocoCcVmsIvr, RouterKind::Smart, 400);
-    let shared = run_64(Benchmark::Lu, OrganizationKind::Shared, RouterKind::Smart, 400);
+    let private = run_64(
+        Benchmark::Lu,
+        OrganizationKind::Private,
+        RouterKind::Smart,
+        400,
+    );
+    let loco = run_64(
+        Benchmark::Lu,
+        OrganizationKind::LocoCcVmsIvr,
+        RouterKind::Smart,
+        400,
+    );
+    let shared = run_64(
+        Benchmark::Lu,
+        OrganizationKind::Shared,
+        RouterKind::Smart,
+        400,
+    );
     assert!(
         private.avg_l2_hit_latency < loco.avg_l2_hit_latency,
         "private {:.2} < loco {:.2}",
@@ -71,8 +86,18 @@ fn loco_l2_hit_latency_sits_between_private_and_shared() {
 #[test]
 fn loco_runtime_beats_the_shared_baseline_on_neighbor_benchmarks() {
     // Figure 11: LOCO reduces run time relative to the shared cache.
-    let shared = run_64(Benchmark::Lu, OrganizationKind::Shared, RouterKind::Smart, 400);
-    let loco = run_64(Benchmark::Lu, OrganizationKind::LocoCcVmsIvr, RouterKind::Smart, 400);
+    let shared = run_64(
+        Benchmark::Lu,
+        OrganizationKind::Shared,
+        RouterKind::Smart,
+        400,
+    );
+    let loco = run_64(
+        Benchmark::Lu,
+        OrganizationKind::LocoCcVmsIvr,
+        RouterKind::Smart,
+        400,
+    );
     assert!(
         loco.runtime_cycles < shared.runtime_cycles,
         "LOCO {} should beat shared {}",
@@ -83,7 +108,12 @@ fn loco_runtime_beats_the_shared_baseline_on_neighbor_benchmarks() {
 
 #[test]
 fn vms_broadcasts_and_remote_hits_occur_on_shared_data() {
-    let loco = run_64(Benchmark::Barnes, OrganizationKind::LocoCcVms, RouterKind::Smart, 400);
+    let loco = run_64(
+        Benchmark::Barnes,
+        OrganizationKind::LocoCcVms,
+        RouterKind::Smart,
+        400,
+    );
     assert!(loco.cache.broadcasts > 0);
     assert!(loco.cache.remote_hits > 0);
     assert!(loco.avg_search_delay > 0.0);
@@ -92,7 +122,14 @@ fn vms_broadcasts_and_remote_hits_occur_on_shared_data() {
 #[test]
 fn smart_noc_outperforms_conventional_noc_for_loco() {
     // Figure 13: LOCO + SMART vs LOCO + conventional NoC.
-    let run = |router| run_64(Benchmark::Barnes, OrganizationKind::LocoCcVmsIvr, router, 300);
+    let run = |router| {
+        run_64(
+            Benchmark::Barnes,
+            OrganizationKind::LocoCcVmsIvr,
+            router,
+            300,
+        )
+    };
     let (smart, conv) = (run(RouterKind::Smart), run(RouterKind::Conventional));
     assert!(smart.avg_l2_hit_latency < conv.avg_l2_hit_latency);
     assert!(smart.runtime_cycles < conv.runtime_cycles);
@@ -113,8 +150,11 @@ fn the_256_core_configuration_runs() {
         working_set_scale: 1,
         ..ExperimentParams::paper_256().with_mem_ops(60)
     };
-    let scenario =
-        Scenario::default_trace(&params, Benchmark::Blackscholes, OrganizationKind::LocoCcVmsIvr);
+    let scenario = Scenario::default_trace(
+        &params,
+        Benchmark::Blackscholes,
+        OrganizationKind::LocoCcVmsIvr,
+    );
     let r = run_scenario(&params, scenario);
     assert!(r.completed);
     assert!(r.instructions >= 256 * 60);
@@ -178,7 +218,11 @@ fn design_knob_ablations_on_simulated_cycles() {
     let baseline = &by_hpc[2];
     assert_eq!(baseline.cache.ivr_denied, 0);
     for threshold in [1, 2, 8] {
-        assert_eq!(format!("{:?}", ivr(threshold)), format!("{baseline:?}"), "threshold {threshold}");
+        assert_eq!(
+            format!("{:?}", ivr(threshold)),
+            format!("{baseline:?}"),
+            "threshold {threshold}"
+        );
     }
 
     // SMART vs conventional on the 8x8 mesh: SMART's advantage never
@@ -190,5 +234,8 @@ fn design_knob_ablations_on_simulated_cycles() {
     };
     let gaps: Vec<f64> = [2, 4, 8].into_iter().map(gap).collect();
     assert!(gaps[0] > 1.0, "SMART must beat conventional: {gaps:?}");
-    assert!(gaps.windows(2).all(|w| w[0] <= w[1]), "conv/SMART by cluster: {gaps:?}");
+    assert!(
+        gaps.windows(2).all(|w| w[0] <= w[1]),
+        "conv/SMART by cluster: {gaps:?}"
+    );
 }

@@ -69,8 +69,7 @@ fn every_organization_runs_to_completion_on_a_4x4_mesh() {
         // `cycle()` advances one past the step in which the last core
         // finished; `runtime_cycles` records the finish time itself.
         assert!(
-            results.runtime_cycles <= last_cycle
-                && last_cycle - results.runtime_cycles <= 1,
+            results.runtime_cycles <= last_cycle && last_cycle - results.runtime_cycles <= 1,
             "{org:?}: reported runtime {} must track the stepped cycle count {last_cycle}",
             results.runtime_cycles
         );
