@@ -7,7 +7,8 @@
 //! cargo run --release -p loco-bench --bin reproduce -- \
 //!     [--params quick|paper64|paper256] [--figures fig06,fig11,...|all] \
 //!     [--list-figures] [--threads N] [--json out.json] \
-//!     [--markdown EXPERIMENTS.md] [--benchmarks lu,fft,...] [--mem-ops N]
+//!     [--markdown EXPERIMENTS.md] [--benchmarks lu,fft,...] [--mem-ops N] \
+//!     [--seed N]
 //! ```
 //!
 //! * `--params` — the experiment scale (default `paper64`; the original
@@ -29,6 +30,10 @@
 //!   `EXPERIMENTS.md` is generated: `--params quick --markdown
 //!   EXPERIMENTS.md`).
 //! * `--benchmarks` — overrides the benchmark x-axis of figures 6–16.
+//! * `--mem-ops N` — overrides the memory operations per core.
+//! * `--seed N` — the trace-generation seed (`ExperimentParams::seed`,
+//!   default 42); 1729 is the held-out seed for checking a claim. Without
+//!   the flag, every output is the default seed's.
 //!
 //! Everything nondeterministic (wall-clock timings, thread count, progress)
 //! goes to **stderr**; stdout and both output files depend only on the
@@ -50,6 +55,7 @@ struct Options {
     benchmarks: Option<Vec<Benchmark>>,
     threads: usize,
     mem_ops: Option<u64>,
+    seed: Option<u64>,
     json_path: Option<String>,
     markdown_path: Option<String>,
     list_figures: bool,
@@ -59,7 +65,7 @@ fn usage() -> ! {
     println!(
         "usage: reproduce [--params quick|paper64|paper256] [--figures fig06,fig11,...|all]\n\
          \x20                [--list-figures] [--threads N] [--json FILE.json] [--markdown FILE.md]\n\
-         \x20                [--benchmarks lu,fft,...] [--mem-ops N]"
+         \x20                [--benchmarks lu,fft,...] [--mem-ops N] [--seed N]"
     );
     std::process::exit(0);
 }
@@ -99,6 +105,7 @@ fn parse_args() -> Options {
         benchmarks: None,
         threads: 0, // 0 = all cores (Executor::new semantics)
         mem_ops: None,
+        seed: None,
         json_path: None,
         markdown_path: None,
         list_figures: false,
@@ -162,6 +169,10 @@ fn parse_args() -> Options {
                     v.parse()
                         .unwrap_or_else(|_| bad("--mem-ops takes a number")),
                 );
+            }
+            "--seed" => {
+                let v = value(&arg, &mut it);
+                opts.seed = Some(v.parse().unwrap_or_else(|_| bad("--seed takes a number")));
             }
             "--json" => opts.json_path = Some(value(&arg, &mut it)),
             "--markdown" => opts.markdown_path = Some(value(&arg, &mut it)),
@@ -228,6 +239,9 @@ fn main() {
     if let Some(m) = opts.mem_ops {
         params = params.with_mem_ops(m);
     }
+    if let Some(seed) = opts.seed {
+        params.seed = seed;
+    }
 
     // --- Plan: enumerate every requested figure, deduplicating scenarios.
     let specs: Vec<FigureSpec> = opts
@@ -245,10 +259,11 @@ fn main() {
 
     let executor = Executor::new(opts.threads);
     eprintln!(
-        "LOCO campaign — params {} ({} cores, {} memory ops/core): {} figures, {} distinct scenarios, {} worker threads",
+        "LOCO campaign — params {} ({} cores, {} memory ops/core, seed {}): {} figures, {} distinct scenarios, {} worker threads",
         params_name(opts.scale),
         params.num_cores(),
         params.mem_ops_per_core,
+        params.seed,
         specs.len(),
         plan.len(),
         executor.threads(),

@@ -1,5 +1,5 @@
-//! The network front-end: payload ownership, multicast expansion, ejection
-//! queues and statistics, on top of the [`Fabric`].
+//! The network front-end: payload ownership, multicast expansion, the
+//! delivery list and statistics, on top of the [`Fabric`].
 
 use crate::config::NocConfig;
 use crate::message::{Delivered, Destination, MulticastGroupId, NetMessage};
@@ -8,7 +8,6 @@ use crate::stats::NetworkStats;
 use crate::topology::{Direction, NodeId};
 use crate::vms::MulticastTree;
 use crate::wheel::TimingWheel;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Error returned by [`Network::inject`] when the source NIC's injection
@@ -62,15 +61,15 @@ pub struct Network<P> {
     /// a slab whose vacated slots are recycled through `free_ids`.
     packets: Vec<Option<PacketRecord<P>>>,
     free_ids: Vec<u32>,
-    /// Fabric arrivals waiting out their (multi-flit) release cycle.
+    /// Fabric arrivals due later than the cycle after their tick (multi-flit
+    /// releases); next-cycle arrivals are completed by the tick itself.
     pending: TimingWheel<Arrival>,
-    /// Scratch buffer handed to the fabric each tick, then reused for the
-    /// released arrivals (avoids a per-cycle allocation on the hot path).
+    /// Scratch buffer for one tick's released arrivals (avoids a per-cycle
+    /// allocation on the hot path).
     arrivals_scratch: Vec<Arrival>,
-    eject_queues: Vec<VecDeque<Delivered<P>>>,
-    /// Total messages sitting in `eject_queues` (lets `eject_all` skip the
-    /// per-node scan on quiet cycles).
-    ejectable: usize,
+    /// Delivered messages not yet ejected, in the order `inject` (local
+    /// deliveries) and `tick` (fabric arrivals) completed them.
+    delivered: Vec<Delivered<P>>,
     stats: NetworkStats,
 }
 
@@ -91,8 +90,7 @@ impl<P: Clone> Network<P> {
             free_ids: Vec::new(),
             pending: TimingWheel::new(),
             arrivals_scratch: Vec::new(),
-            eject_queues: (0..cfg.mesh.len()).map(|_| VecDeque::new()).collect(),
-            ejectable: 0,
+            delivered: Vec::new(),
             stats: NetworkStats::default(),
         }
     }
@@ -148,8 +146,7 @@ impl<P: Clone> Network<P> {
                     msg,
                 };
                 self.stats.record_delivery(delivered.msg.vn, 1, 0);
-                self.eject_queues[dest.index()].push_back(delivered);
-                self.ejectable += 1;
+                self.delivered.push(delivered);
                 Ok(())
             }
             Destination::Unicast(dest) => {
@@ -235,23 +232,22 @@ impl<P: Clone> Network<P> {
     pub fn tick(&mut self) {
         let mut arrivals = std::mem::take(&mut self.arrivals_scratch);
         debug_assert!(arrivals.is_empty());
+        let due = self.cycle + 1;
+        // Arrivals are completed in (release cycle, production order): the
+        // order of a naive in-order scan of every packet in flight. The
+        // wheel's items due now were produced by earlier ticks, so they go
+        // first, and the fabric appends this tick's arrivals behind them.
+        // A fabric arrival due on the next cycle (every single-flit hop) is
+        // completed at once; a later, multi-flit one waits in the wheel.
+        self.pending.drain_due(due, &mut arrivals);
         self.fabric.tick(self.cycle, &mut arrivals);
-        // Fabric arrival times are always in the future (`> self.cycle`).
-        // Every arrival waits in the wheel for its release cycle, queued
-        // behind the older arrivals due at the same cycle. The release order
-        // is therefore (release cycle, production order): the order of a
-        // naive in-order scan of every packet in flight.
+        self.cycle = due;
         for arrival in arrivals.drain(..) {
-            debug_assert!(arrival.now > self.cycle);
-            self.pending.push(arrival.now, arrival);
-        }
-        self.cycle += 1;
-        // Release the arrivals whose (possibly multi-flit) arrival time has
-        // been reached: most are due on this very cycle (the single-flit
-        // case) and come out of one wheel bucket.
-        self.pending.drain_due(self.cycle, &mut arrivals);
-        for arrival in arrivals.drain(..) {
-            self.complete(arrival);
+            if arrival.now <= due {
+                self.complete(arrival);
+            } else {
+                self.pending.push(arrival.now, arrival);
+            }
         }
         self.arrivals_scratch = arrivals;
     }
@@ -265,9 +261,9 @@ impl<P: Clone> Network<P> {
     /// arrival (multi-flit releases, high-radix pipeline exits) is folded with
     /// the fabric's per-head probe, so a network holding blocked or
     /// serializing packets still reports a future horizon instead of
-    /// degenerating to "busy". Already-delivered messages waiting in
-    /// ejection queues are not events — ticking never changes them — so
-    /// callers that skip must drain ejections first (debug-checked by
+    /// degenerating to "busy". Already-delivered messages waiting to be
+    /// ejected are not events — ticking never changes them — so callers that
+    /// skip must drain ejections first (debug-checked by
     /// [`Network::advance_to`]).
     pub fn next_event(&self) -> Option<u64> {
         // An arrival with release time `t` is completed by the tick that
@@ -290,14 +286,18 @@ impl<P: Clone> Network<P> {
     /// The caller must guarantee the skipped range is dead time: no cycle in
     /// `self.cycle..cycle` may be one at which [`Network::tick`] would have
     /// changed state (i.e. `cycle` must not exceed [`Network::next_event`]),
-    /// and all ejection queues must have been drained. Both are debug-checked.
+    /// and every delivered message must have been ejected. Both are
+    /// debug-checked.
     pub fn advance_to(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.cycle, "advance_to must move forward");
         debug_assert!(
             self.next_event().is_none_or(|e| e >= cycle),
             "advance_to would skip a live network event"
         );
-        debug_assert!(self.ejectable == 0, "advance_to with undelivered ejections");
+        debug_assert!(
+            self.delivered.is_empty(),
+            "advance_to with undelivered ejections"
+        );
         self.cycle = cycle;
     }
 
@@ -335,30 +335,30 @@ impl<P: Clone> Network<P> {
             stops: arrival.flight.stops,
             msg: record.msg,
         };
-        self.eject_queues[arrival.at.index()].push_back(delivered);
-        self.ejectable += 1;
+        self.delivered.push(delivered);
     }
 
-    /// Drains all messages delivered at `node`.
+    /// Drains all messages delivered at `node`, in delivery order.
     pub fn eject(&mut self, node: NodeId) -> Vec<Delivered<P>> {
-        let drained: Vec<Delivered<P>> = self.eject_queues[node.index()].drain(..).collect();
-        self.ejectable -= drained.len();
-        drained
+        self.delivered
+            .extract_if(.., |d| d.receiver == node)
+            .collect()
     }
 
-    /// Drains all delivered messages across every node into `out`
-    /// (allocation-free once `out` has warmed up its capacity).
+    /// Drains all delivered messages into `out`, by ascending receiver and
+    /// in delivery order within a receiver (a node's local deliveries made
+    /// by `inject` precede the fabric arrivals of the following `tick`).
+    /// Allocation-free once warmed up: an empty `out` is swapped in.
     pub fn eject_all_into(&mut self, out: &mut Vec<Delivered<P>>) {
-        if self.ejectable == 0 {
-            return;
+        // A stable sort keeps delivery order within a receiver.
+        if !self.delivered.is_sorted_by_key(|d| d.receiver) {
+            self.delivered.sort_by_key(|d| d.receiver);
         }
-        out.reserve(self.ejectable);
-        for q in &mut self.eject_queues {
-            while let Some(d) = q.pop_front() {
-                out.push(d);
-            }
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.delivered);
+        } else {
+            out.append(&mut self.delivered);
         }
-        self.ejectable = 0;
     }
 
     /// Drains all delivered messages across every node.
@@ -368,15 +368,15 @@ impl<P: Clone> Network<P> {
         out
     }
 
-    /// Whether any packet is still inside the fabric or waiting in an
-    /// ejection queue.
+    /// Whether any packet is still inside the fabric or waiting to be
+    /// ejected.
     pub fn is_busy(&self) -> bool {
-        self.in_flight() > 0 || self.ejectable > 0
+        self.in_flight() > 0 || !self.delivered.is_empty()
     }
 
     /// Number of packets currently travelling through the fabric (including
-    /// arrivals not yet released to an ejection queue), excluding already
-    /// delivered messages waiting to be ejected.
+    /// multi-flit arrivals not yet released), excluding already delivered
+    /// messages waiting to be ejected.
     pub fn in_flight(&self) -> usize {
         self.fabric.in_flight() + self.pending.len()
     }
@@ -596,5 +596,74 @@ mod tests {
         run_until_quiet(&mut net, 50);
         assert_eq!(net.eject(NodeId(4)).len(), 1);
         assert_eq!(net.next_event(), None, "drained network is quiescent again");
+    }
+
+    fn send(net: &mut Network<u32>, src: u16, dest: u16, bytes: u32, payload: u32) {
+        net.inject(NetMessage::unicast(
+            NodeId(src),
+            NodeId(dest),
+            VirtualNetwork::Request,
+            bytes,
+            payload,
+        ))
+        .unwrap();
+    }
+
+    #[test]
+    fn eject_all_orders_by_receiver_then_delivery_order() {
+        // One cycle delivers a local message at k = 5, then fabric arrivals
+        // at nodes below and above k and two at k.
+        let mut net: Network<u32> = Network::new(NocConfig::smart_mesh(4, 4, 4));
+        send(&mut net, 5, 5, 8, 0);
+        send(&mut net, 13, 9, 8, 1);
+        send(&mut net, 4, 5, 8, 2);
+        send(&mut net, 2, 1, 8, 3);
+        send(&mut net, 6, 5, 8, 4);
+        run_until_quiet(&mut net, 50);
+        let fabric: Vec<u64> = net.delivered[1..].iter().map(|d| d.ejected_at).collect();
+        assert_eq!(fabric, [fabric[0]; 4], "every fabric arrival on one tick");
+        assert!(
+            !net.delivered.is_sorted_by_key(|d| d.receiver),
+            "the deliveries must need sorting"
+        );
+        let delivery_order_at_k: Vec<u32> = net
+            .delivered
+            .iter()
+            .filter(|d| d.receiver == NodeId(5))
+            .map(|d| d.msg.payload)
+            .collect();
+        let mut out = Vec::new();
+        net.eject_all_into(&mut out);
+        let receivers: Vec<u16> = out.iter().map(|d| d.receiver.0).collect();
+        assert_eq!(receivers, [1, 5, 5, 5, 9]);
+        let at_k: Vec<u32> = out[1..4].iter().map(|d| d.msg.payload).collect();
+        assert_eq!(at_k[0], 0, "the local delivery leads at k");
+        assert_eq!(at_k, delivery_order_at_k, "delivery order within k");
+        assert!(!net.is_busy());
+    }
+
+    #[test]
+    fn a_wheel_release_precedes_a_next_cycle_arrival_at_the_same_receiver() {
+        let cfg = NocConfig::smart_mesh(4, 4, 4);
+        let mut net: Network<u32> = Network::new(cfg);
+        send(&mut net, 4, 5, 5 * cfg.link_bytes, 5);
+        while net.pending.is_empty() {
+            net.tick();
+        }
+        let release = net.pending.next_ready().expect("five-flit release queued");
+        // A one-flit packet injected at cycle c hops on the tick of cycle
+        // c + 1 and arrives at c + 2: the cycle the five-flit packet leaves
+        // the wheel.
+        while net.cycle() + 2 < release {
+            net.tick();
+        }
+        send(&mut net, 6, 5, 8, 1);
+        while net.cycle() < release {
+            net.tick();
+        }
+        let mut out = Vec::new();
+        net.eject_all_into(&mut out);
+        let got: Vec<(u32, u64)> = out.iter().map(|d| (d.msg.payload, d.ejected_at)).collect();
+        assert_eq!(got, [(5, release), (1, release)]);
     }
 }

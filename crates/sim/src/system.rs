@@ -28,8 +28,12 @@
 //! * **NoC retries** — messages bounced by back-pressure retry every cycle,
 //!   so a non-empty retry queue disables skipping entirely (conservative,
 //!   and rare outside saturation).
-//! * **Memory controllers** — `MemoryController::next_event` is the
-//!   earliest pending DRAM `fire_at`.
+//! * **Memory controllers** — `MemoryController::next_event` is a
+//!   controller's earliest pending DRAM `fire_at`. The system caches the
+//!   minimum over every controller, exactly, recomputing it after each
+//!   dispatch to a memory controller and each DRAM tick (debug builds check
+//!   the cache wherever it is read). A step visits the controllers only
+//!   when that minimum is due, and the horizon folds it as one value.
 //! * **Network** — `Network::next_event` names the earliest cycle at which
 //!   a network tick can change state *even under partial occupancy*: it
 //!   folds the earliest queued arrival (multi-flit releases,
@@ -163,6 +167,11 @@ pub struct CmpSystem {
     /// order of same-cycle replies in `pending`.
     dirs: Vec<DirectoryController>,
     mems: Vec<MemoryController>,
+    /// The earliest DRAM release over all of `mems` (`u64::MAX` when no
+    /// read is outstanding). Exact, not a lower bound: it is recomputed
+    /// after every dispatch to a memory controller and every DRAM tick, the
+    /// only places where a controller's `next_event` can move.
+    dram_next: u64,
     /// `controller[node]`: the index into `dirs` and `mems` of the
     /// controllers at `node`, if it has any.
     controller: Vec<Option<u16>>,
@@ -291,6 +300,7 @@ impl CmpSystem {
             l2s,
             dirs,
             mems,
+            dram_next: u64::MAX,
             controller,
             vms_groups,
             pending: TimingWheel::new(),
@@ -363,6 +373,16 @@ impl CmpSystem {
         }
     }
 
+    /// The earliest pending DRAM release over every memory controller, or
+    /// `u64::MAX` when none is outstanding: what `dram_next` caches.
+    fn dram_horizon(&self) -> u64 {
+        self.mems
+            .iter()
+            .filter_map(MemoryController::next_event)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Index into `dirs` and `mems` of the controllers at `node`.
     fn controller_at(&self, node: NodeId) -> usize {
         usize::from(self.controller[node.index()].expect("memory-controller node"))
@@ -412,6 +432,7 @@ impl CmpSystem {
             Unit::Mem => {
                 let c = self.controller_at(node);
                 self.mems[c].handle(msg, self.now, out);
+                self.dram_next = self.dram_horizon();
             }
         }
         self.schedule(node, out);
@@ -487,13 +508,20 @@ impl CmpSystem {
         }
         self.due_scratch = due;
 
-        // 3. Memory controllers release DRAM responses whose latency elapsed.
-        for i in 0..self.mems.len() {
-            self.mems[i].tick(now, &mut out);
-            if !out.is_empty() {
-                let node = self.mems[i].node();
-                self.schedule(node, &mut out);
+        // 3. Memory controllers release DRAM responses whose latency
+        // elapsed. None is due before `dram_next`; on a cycle when one is,
+        // every controller is visited in ascending node order, which fixes
+        // the order of same-cycle replies.
+        debug_assert_eq!(self.dram_next, self.dram_horizon(), "stale dram_next");
+        if now >= self.dram_next {
+            for i in 0..self.mems.len() {
+                self.mems[i].tick(now, &mut out);
+                if !out.is_empty() {
+                    let node = self.mems[i].node();
+                    self.schedule(node, &mut out);
+                }
             }
+            self.dram_next = self.dram_horizon();
         }
 
         // 4. The fabric advances one cycle and deliveries are dispatched.
@@ -546,14 +574,11 @@ impl CmpSystem {
             }
             next = next.min(ready);
         }
-        for mem in &self.mems {
-            if let Some(t) = mem.next_event() {
-                if t <= now {
-                    return Some(now);
-                }
-                next = next.min(t);
-            }
+        debug_assert_eq!(self.dram_next, self.dram_horizon(), "stale dram_next");
+        if self.dram_next <= now {
+            return Some(now);
         }
+        next = next.min(self.dram_next);
         // The network probe covers partial occupancy: the earliest queued
         // arrival and every buffered head's (ready, link-free) cycle.
         // Before PR 5 this was pinned to `now` whenever any packet was in

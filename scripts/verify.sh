@@ -6,6 +6,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --all -- --check (the workspace is rustfmt-clean)"
+cargo fmt --all -- --check
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
