@@ -70,6 +70,7 @@ mod tests {
         check_skip_window_under_partial_occupancy, drain, flight, walk_lone_packet_by_next_event,
     };
     use crate::router::Fabric;
+    use crate::stats::FabricCounters;
 
     #[test]
     fn two_cycles_per_hop_best_case() {
@@ -157,6 +158,37 @@ mod tests {
         assert_eq!(c.buffer_writes, 7);
         assert_eq!(c.ssr_broadcasts, 0, "no SSRs on a conventional fabric");
         assert_eq!(c.pipeline_passes, 0);
+
+        // A 1-flit and a 5-flit packet over two stops (0 -> 1 -> 2) on an
+        // 8x1 mesh: a head that wins switch allocation at `t` lands at
+        // `t + flits + 1` and competes again in that arrival cycle.
+        for (flits, at_stop, arrival) in [(1, 3, 5), (5, 7, 13)] {
+            let mut fab = Fabric::new(&NocConfig::conventional_mesh(8, 1));
+            fab.inject(flight(1, 0, 2, flits), 0);
+            let mut arrivals = Vec::new();
+            fab.tick(0, &mut arrivals);
+            fab.tick(1, &mut arrivals);
+            assert_eq!(fab.next_event(2), Some(at_stop), "{flits} flits");
+            for now in 2..40 {
+                fab.tick(now, &mut arrivals);
+            }
+            assert_eq!(arrivals.len(), 1);
+            assert_eq!((arrivals[0].now, arrivals[0].flight.stops), (arrival, 2));
+            assert_eq!(
+                *fab.counters(),
+                FabricCounters {
+                    buffer_writes: 2,
+                    buffer_reads: 2,
+                    crossbar_traversals: 2,
+                    link_flit_hops: 2 * u64::from(flits),
+                    stop_hops: 2,
+                    express_traversals: 0,
+                    pipeline_passes: 0,
+                    ..FabricCounters::default()
+                },
+                "{flits} flits"
+            );
+        }
     }
 
     #[test]

@@ -85,6 +85,7 @@ mod tests {
         check_skip_window_under_partial_occupancy, drain, flight, walk_lone_packet_by_next_event,
     };
     use crate::router::Fabric;
+    use crate::stats::FabricCounters;
 
     #[test]
     fn single_express_hop_pays_pipeline_cost() {
@@ -167,6 +168,37 @@ mod tests {
         assert_eq!(c.stop_hops, 1);
         assert_eq!(c.buffer_writes, 1, "injection only");
         assert_eq!(c.ssr_broadcasts, 0, "no SSRs on a high-radix fabric");
+
+        // A 1-flit and a 5-flit packet over two stops (0 -> 4 -> 5) on an
+        // 8x1 mesh: a head that wins switch allocation at `t` lands at
+        // `t + flits + 4` and competes again one cycle after its arrival.
+        for (flits, at_stop, arrival) in [(1, 7, 12), (5, 11, 20)] {
+            let mut fab = Fabric::new(&NocConfig::highradix_mesh(8, 1, 4));
+            fab.inject(flight(1, 0, 5, flits), 0);
+            let mut arrivals = Vec::new();
+            fab.tick(0, &mut arrivals);
+            fab.tick(1, &mut arrivals);
+            assert_eq!(fab.next_event(2), Some(at_stop), "{flits} flits");
+            for now in 2..40 {
+                fab.tick(now, &mut arrivals);
+            }
+            assert_eq!(arrivals.len(), 1);
+            assert_eq!((arrivals[0].now, arrivals[0].flight.stops), (arrival, 2));
+            assert_eq!(
+                *fab.counters(),
+                FabricCounters {
+                    buffer_writes: 2,
+                    buffer_reads: 2,
+                    crossbar_traversals: 2,
+                    link_flit_hops: (4 + 1) * u64::from(flits),
+                    stop_hops: 2,
+                    express_traversals: 2,
+                    pipeline_passes: 2,
+                    ..FabricCounters::default()
+                },
+                "{flits} flits"
+            );
+        }
     }
 
     #[test]
