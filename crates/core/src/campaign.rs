@@ -469,15 +469,6 @@ impl Executor {
         let scenarios = plan.scenarios();
         let n = scenarios.len();
         let workers = self.threads.min(n).max(1);
-        let mut results = ResultSet::new();
-        if workers <= 1 {
-            // Inline fast path: no thread or lock overhead for sequential
-            // execution.
-            for &s in scenarios {
-                results.insert(s, run_named(params, s).unwrap_or_else(|e| panic!("{e}")));
-            }
-            return results;
-        }
         let slots: Vec<Mutex<Option<Outcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -492,6 +483,7 @@ impl Executor {
                 });
             }
         });
+        let mut results = ResultSet::new();
         for (slot, &s) in slots.into_iter().zip(scenarios) {
             let r = slot
                 .into_inner()

@@ -1,69 +1,7 @@
-//! Conventional mesh fabric: state-of-the-art 2-cycle-per-hop routers
-//! (1 cycle switch allocation + traversal inside the router, 1 cycle on the
-//! link), XY dimension-ordered routing, per-output round-robin arbitration
-//! and credit-style backpressure.
-//!
-//! This is the `LOCO + Conventional NoC` baseline of Figures 12 and 13 and
-//! the hop-by-hop reference against which SMART's single-cycle multi-hop
-//! traversals are compared (Section 2 of the paper: 14 hops take 28 cycles
-//! in the best case on this fabric).
+//! Timing and event-counter tests of the hop engine (`crate::hop`) built
+//! as the conventional mesh: 2 cycles per hop in the best case, so 14 hops
+//! take 28 cycles (Section 2 of the paper).
 
-use crate::config::NocConfig;
-use crate::router::{Arrival, Backpressure, Buffered, RouterCore};
-
-/// The conventional traversal: downstream buffer space and this cycle's
-/// switch-allocation winners.
-#[derive(Debug)]
-pub(crate) struct ConventionalEngine {
-    grants: Backpressure,
-}
-
-impl ConventionalEngine {
-    /// Builds the traversal state for the given configuration.
-    pub fn new(cfg: &NocConfig) -> Self {
-        ConventionalEngine {
-            grants: Backpressure::new(cfg, false),
-        }
-    }
-
-    /// Moves this cycle's winners one hop each, appending packets that
-    /// reached their segment destination to `arrivals`.
-    pub fn tick(&mut self, core: &mut RouterCore, now: u64, arrivals: &mut Vec<Arrival>) {
-        // Switch allocation: for every router and output direction, pick one
-        // ready head whose link is free and whose neighbour has buffer space.
-        // Moves are granted first and applied afterwards so that a packet
-        // moved this cycle cannot be moved again within the same cycle.
-        core.allocate(now, &mut self.grants);
-        for (node, lane) in self.grants.grants.drain(..) {
-            let Buffered { flight, route, .. } = core.pop(node, lane);
-            let flits = u64::from(flight.flits);
-            // Event accounting: one buffer read (in `pop`) + one crossbar
-            // pass at the winning router, one link crossed flit by flit, one
-            // latch at the downstream router.
-            let c = &mut core.counters;
-            c.crossbar_traversals += 1;
-            c.link_flit_hops += flits;
-            c.stop_hops += 1;
-            // The output link is held for the full packet length.
-            core.links
-                .occupy(node, usize::from(route.link), now + flits);
-            // 1 cycle in the router (already spent winning SA this cycle) +
-            // 1 cycle link traversal + serialization of the tail flits.
-            let arrival_cycle = now + 1 + (flits - 1);
-            core.land(
-                flight,
-                route.landing,
-                route.dir.opposite(),
-                arrival_cycle + 1,
-                arrival_cycle + 1,
-                arrivals,
-            );
-        }
-        self.grants.reset();
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use crate::config::NocConfig;
     use crate::router::tests::{

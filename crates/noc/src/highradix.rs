@@ -1,84 +1,8 @@
-//! High-radix fabric: a Flattened-Butterfly-like mesh where every router has
-//! dedicated express links to all routers within `HPCmax` hops along each
-//! dimension (the paper's "high-radix routers" alternative, Section 4.2).
-//!
-//! Express links use the same clockless repeated wires as SMART, so a link
-//! spanning up to `HPCmax` hops still takes one cycle — but the router now
-//! has ~20 ports and needs multi-stage arbiters and crossbars, so every
-//! *stop* costs a 4-stage pipeline instead of 1 (and there is no bypassing):
-//! a home node is always one express hop away, yet each hop costs
-//! `4 (router) + 1 (link)` cycles at both the source and any intermediate
-//! turn.
+//! Timing and event-counter tests of the hop engine (`crate::hop`) built
+//! as high-radix routers: one express link per (direction, span) up to
+//! `HPCmax` hops and a 4-stage pipeline at every stop (Section 4.2 of the
+//! paper).
 
-use crate::config::NocConfig;
-use crate::router::{Arrival, Backpressure, Buffered, RouterCore};
-
-/// The high-radix (Flattened-Butterfly-like) traversal.
-///
-/// All spans of a direction fold into one input port (they share an input
-/// buffer pool), but every (direction, span) has its own output link for
-/// bandwidth accounting, which matches the "4x higher bisection throughput"
-/// property the paper ascribes to this design.
-#[derive(Debug)]
-pub(crate) struct HighRadixEngine {
-    router_pipeline: u8,
-    /// Downstream buffer space and this cycle's switch-allocation winners.
-    grants: Backpressure,
-}
-
-impl HighRadixEngine {
-    /// Builds the traversal state for the given configuration.
-    pub fn new(cfg: &NocConfig) -> Self {
-        HighRadixEngine {
-            router_pipeline: cfg.router_pipeline(),
-            // A packet landing at its destination ejects, so it needs no
-            // downstream buffer slot.
-            grants: Backpressure::new(cfg, true),
-        }
-    }
-
-    /// Moves this cycle's winners one express hop each, appending packets
-    /// that reached their segment destination to `arrivals`.
-    pub fn tick(&mut self, core: &mut RouterCore, now: u64, arrivals: &mut Vec<Arrival>) {
-        // One arbitration per output *direction*; the winner then uses the
-        // express link matching its span. This under-uses the extra
-        // bandwidth slightly but keeps the multi-stage arbiter abstraction
-        // honest (a single input can only feed one output per cycle).
-        core.allocate(now, &mut self.grants);
-        for (node, lane) in self.grants.grants.drain(..) {
-            let Buffered { flight, route, .. } = core.pop(node, lane);
-            let flits = u64::from(flight.flits);
-            // Event accounting: one buffer read (in `pop`) and one
-            // (multi-stage) crossbar pass at the winning router, one express
-            // link whose wire spans `hops` mesh hops, a full pipeline pass
-            // and a latch at the landing router.
-            let c = &mut core.counters;
-            c.crossbar_traversals += 1;
-            c.express_traversals += 1;
-            c.link_flit_hops += u64::from(route.hops) * flits;
-            c.pipeline_passes += 1;
-            c.stop_hops += 1;
-            core.links
-                .occupy(node, usize::from(route.link), now + flits);
-            // The multi-stage router pipeline is charged at the *downstream*
-            // stop (the packet must go through the full pipeline before it
-            // can be switched again or ejected), plus one link cycle and
-            // serialization.
-            let arrival_cycle = now + 1 + (flits - 1) + u64::from(self.router_pipeline);
-            core.land(
-                flight,
-                route.landing,
-                route.dir.opposite(),
-                arrival_cycle,
-                arrival_cycle + 1,
-                arrivals,
-            );
-        }
-        self.grants.reset();
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use crate::config::NocConfig;
     use crate::router::tests::{

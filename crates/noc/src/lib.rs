@@ -25,12 +25,15 @@
 //!
 //! The three router kinds are one concrete [`router::Fabric`] over one
 //! [`router::RouterCore`]. The core holds the buffers, the arbiters and the
-//! link occupancy, and it runs the switch-allocation scan; the fabric adds
-//! injection and the `next_event` probe. Each router kind adds only its
-//! policy: the reach of a route, an extra eligibility check, and the
-//! traversal of the winners (private modules `conventional`, `smart` and
-//! `highradix`). A head's route depends only on (router, destination), so
-//! it is computed once, when the packet is buffered (`DESIGN.md` §5).
+//! link occupancy, and it runs the switch-allocation scan into one winner
+//! list; the fabric adds injection and the `next_event` probe. Each router
+//! kind adds only its policy: the reach of a route, whether downstream
+//! back-pressure applies, and the traversal of the winners. Two traversals
+//! serve the three kinds: the hop engine (private module `hop`) for the
+//! conventional and high-radix routers, which differ only in constants set
+//! when the fabric is built, and the SMART engine (private module `smart`).
+//! A head's route depends only on (router, destination), so it is computed
+//! once, when the packet is buffered (`DESIGN.md` §5).
 //!
 //! ## Quick example
 //!
@@ -59,9 +62,12 @@
 #![warn(missing_docs)]
 
 pub mod config;
+#[cfg(test)]
 mod conventional;
 pub mod fx;
+#[cfg(test)]
 mod highradix;
+mod hop;
 pub mod message;
 pub mod network;
 pub mod rng;

@@ -1,13 +1,17 @@
 //! The NoC fabric: one [`Fabric`] over the router core shared by all three
 //! router kinds (conventional, SMART, high-radix). [`RouterCore`] holds the
 //! input-port buffers, the active-router set, link occupancy, round-robin
-//! arbiters and the phase-1 switch-allocation scan; [`Fabric`] adds
-//! injection and the `next_event` head probe.
+//! arbiters and the phase-1 switch-allocation scan with its winner list;
+//! [`Fabric`] adds injection and the `next_event` head probe.
 //!
 //! A router kind keeps only its policy: the reach of a route
-//! ([`RouteTable`]), an extra eligibility check for a head
-//! ([`SwitchPolicy::eligible`]) and what happens to the winners (its
-//! traversal, run by [`Fabric::tick`]).
+//! ([`RouteTable`]), whether a head also needs buffer space at its landing
+//! router ([`Backpressure`]) and what happens to the winners. Two traversals
+//! cover the three kinds: the hop engine moves each winner one leg and
+//! buffers it at every stop (conventional and high-radix routers, which
+//! differ only in constants), and the SMART engine sends each winner as far
+//! as SSR arbitration lets it in one cycle. [`Fabric::tick`] runs the one
+//! the router kind needs.
 //!
 //! A head's route depends only on the pair (router, destination), so it is
 //! computed once when the packet is pushed into a lane and cached with it;
@@ -15,8 +19,7 @@
 //! one flat array per router and never divides or follows a queue pointer.
 
 use crate::config::{NocConfig, RouterKind};
-use crate::conventional::ConventionalEngine;
-use crate::highradix::HighRadixEngine;
+use crate::hop::HopEngine;
 use crate::message::VirtualNetwork;
 use crate::smart::SmartEngine;
 use crate::stats::FabricCounters;
@@ -385,20 +388,6 @@ impl LinkOccupancy {
     }
 }
 
-/// What a router kind adds to the shared switch allocation.
-pub trait SwitchPolicy {
-    /// Extra eligibility of a ready head whose output link is free (e.g.
-    /// downstream buffer space). `buffers` are every router's buffers,
-    /// indexed by node.
-    fn eligible(&self, _buffers: &[InputBuffers], _head: &Buffered) -> bool {
-        true
-    }
-
-    /// Records a winner: the head of `lane` at `node`. Called in (router,
-    /// direction) order; the head stays buffered until the traversal pops it.
-    fn grant(&mut self, node: NodeId, lane: usize, head: &Buffered);
-}
-
 /// Per-router state shared by every router kind.
 #[derive(Debug)]
 pub struct RouterCore {
@@ -414,6 +403,11 @@ pub struct RouterCore {
     in_flight: usize,
     /// Micro-architectural event counters.
     pub counters: FabricCounters,
+    /// This cycle's switch-allocation winners as `(router, lane)`, in
+    /// (router, direction) order. [`RouterCore::allocate`] fills it; the
+    /// heads stay buffered until the traversal pops them, and the traversal
+    /// leaves the list empty.
+    pub(crate) winners: Vec<(NodeId, usize)>,
 }
 
 impl RouterCore {
@@ -432,6 +426,7 @@ impl RouterCore {
             arbiters: vec![RoundRobin::new(); nodes * 4],
             in_flight: 0,
             counters: FabricCounters::default(),
+            winners: Vec::new(),
         }
     }
 
@@ -487,19 +482,23 @@ impl RouterCore {
     }
 
     /// Phase 1 of a tick: at every active router, bucket the ready heads
-    /// whose output link is free and that `policy` deems eligible into one
-    /// lane mask per output direction, then grant one head per direction
-    /// round-robin. A head's route does not depend on the direction being
-    /// arbitrated, so one pass per router suffices; masks hold lanes in
-    /// lane order, so grants equal a one-scan-per-direction formulation.
-    pub fn allocate(&mut self, now: u64, policy: &mut impl SwitchPolicy) {
+    /// whose output link is free (and, under `backpressure`, whose landing
+    /// router has room) into one lane mask per output direction, then grant
+    /// one head per direction round-robin, appending it to the core's winner
+    /// list and reserving its landing slot. A head's route does not depend
+    /// on the direction being arbitrated, so one pass per router suffices;
+    /// masks hold lanes in lane order, so grants equal a
+    /// one-scan-per-direction formulation.
+    pub fn allocate(&mut self, now: u64, mut backpressure: Option<&mut Backpressure>) {
         let RouterCore {
             buffers,
             active,
             arbiters,
             links,
+            winners,
             ..
         } = self;
+        debug_assert!(winners.is_empty(), "last cycle's winners not consumed");
         for node_idx in active.iter() {
             let node = NodeId(node_idx as u16);
             let bufs = &buffers[node_idx];
@@ -509,14 +508,19 @@ impl RouterCore {
                 let head = &bufs.heads[lane];
                 if head.ready_at <= now
                     && links.is_free(node, usize::from(head.route.link), now)
-                    && policy.eligible(buffers, head)
+                    && backpressure
+                        .as_deref()
+                        .is_none_or(|bp| bp.has_room(buffers, head))
                 {
                     masks[head.route.dir.index()] |= 1 << lane;
                 }
             }
             for (d, &mask) in masks.iter().enumerate() {
                 if let Some(lane) = arbiters[node_idx * 4 + d].pick(mask, LANES) {
-                    policy.grant(node, lane, &bufs.heads[lane]);
+                    if let Some(bp) = backpressure.as_deref_mut() {
+                        bp.reserve(&bufs.heads[lane]);
+                    }
+                    winners.push((node, lane));
                 }
             }
         }
@@ -526,7 +530,7 @@ impl RouterCore {
 /// Downstream back-pressure for the router kinds that buffer at every stop
 /// (conventional, high-radix): a head is eligible only while its landing
 /// router's input lane has room, counting slots reserved by earlier winners
-/// this cycle. The winners are collected in `grants`.
+/// this cycle.
 #[derive(Debug)]
 pub struct Backpressure {
     capacity: usize,
@@ -537,8 +541,6 @@ pub struct Backpressure {
     /// dirtied entries are reset.
     reserved: Vec<u8>,
     dirty: Vec<usize>,
-    /// This cycle's winners as `(router, lane)`, in grant order.
-    pub grants: Vec<(NodeId, usize)>,
 }
 
 impl Backpressure {
@@ -549,7 +551,6 @@ impl Backpressure {
             exempt_dest,
             reserved: vec![0; cfg.mesh.len() * LANES],
             dirty: Vec::new(),
-            grants: Vec::new(),
         }
     }
 
@@ -557,6 +558,24 @@ impl Backpressure {
     fn slot(head: &Buffered) -> (usize, usize) {
         let port = head.route.dir.opposite().index();
         (head.route.landing.index(), lane(port, head.flight.vn))
+    }
+
+    /// Whether `head` may leave: its landing lane has room beyond this
+    /// cycle's reservations, or it ejects there and the destination is
+    /// exempt. `buffers` are every router's buffers, indexed by node.
+    pub(crate) fn has_room(&self, buffers: &[InputBuffers], head: &Buffered) -> bool {
+        let (at, l) = Self::slot(head);
+        (self.exempt_dest && head.route.landing == head.flight.dest)
+            || buffers[at].occupancy(l) + usize::from(self.reserved[at * LANES + l]) < self.capacity
+    }
+
+    /// Reserves the landing slot of a winning `head` for the rest of this
+    /// cycle.
+    pub(crate) fn reserve(&mut self, head: &Buffered) {
+        let (at, l) = Self::slot(head);
+        let idx = at * LANES + l;
+        self.reserved[idx] += 1;
+        self.dirty.push(idx);
     }
 
     /// Forgets this cycle's reservations.
@@ -567,28 +586,13 @@ impl Backpressure {
     }
 }
 
-impl SwitchPolicy for Backpressure {
-    fn eligible(&self, buffers: &[InputBuffers], head: &Buffered) -> bool {
-        let (at, l) = Self::slot(head);
-        (self.exempt_dest && head.route.landing == head.flight.dest)
-            || buffers[at].occupancy(l) + usize::from(self.reserved[at * LANES + l]) < self.capacity
-    }
-
-    fn grant(&mut self, node: NodeId, lane: usize, head: &Buffered) {
-        let (at, l) = Self::slot(head);
-        let idx = at * LANES + l;
-        self.reserved[idx] += 1;
-        self.dirty.push(idx);
-        self.grants.push((node, lane));
-    }
-}
-
 /// The traversal state of the fabric's router kind.
 #[derive(Debug)]
 enum Engine {
-    Conventional(ConventionalEngine),
+    /// Conventional and high-radix routers: one leg per move.
+    Hop(HopEngine),
+    /// SMART: single-cycle multi-hop traversals.
     Smart(SmartEngine),
-    HighRadix(HighRadixEngine),
 }
 
 /// The NoC fabric: a [`RouterCore`] plus the traversal of its router kind.
@@ -604,20 +608,16 @@ impl Fabric {
     /// Builds the fabric for `cfg`. The router kind fixes the reach of a
     /// route and the link layout: one hop on the conventional mesh, up to
     /// HPCmax hops on SMART and high-radix, and one express link per
-    /// (direction, span) on high-radix only.
+    /// (direction, span) on high-radix only. It also fixes the traversal:
+    /// the hop engine, with or without express links and the deep pipeline,
+    /// or SMART.
     pub fn new(cfg: &NocConfig) -> Self {
         let (reach, express, engine) = match cfg.router {
-            RouterKind::Conventional => {
-                (1, false, Engine::Conventional(ConventionalEngine::new(cfg)))
-            }
+            RouterKind::Conventional => (1, false, Engine::Hop(HopEngine::new(cfg, false))),
             // A SMART-hop covers the rest of the current dimension up to
             // HPCmax (SMART-1D stops at the turn router).
             RouterKind::Smart => (cfg.hpc_max, false, Engine::Smart(SmartEngine::new(cfg))),
-            RouterKind::HighRadix => (
-                cfg.hpc_max,
-                true,
-                Engine::HighRadix(HighRadixEngine::new(cfg)),
-            ),
+            RouterKind::HighRadix => (cfg.hpc_max, true, Engine::Hop(HopEngine::new(cfg, true))),
         };
         Fabric {
             core: RouterCore::new(cfg, reach, express),
@@ -635,9 +635,8 @@ impl Fabric {
         }
         let core = &mut self.core;
         match &mut self.engine {
-            Engine::Conventional(e) => e.tick(core, now, arrivals),
+            Engine::Hop(e) => e.tick(core, now, arrivals),
             Engine::Smart(e) => e.tick(core, now, arrivals),
-            Engine::HighRadix(e) => e.tick(core, now, arrivals),
         }
     }
 

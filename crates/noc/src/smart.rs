@@ -13,49 +13,33 @@
 //! the best-case latency is 2 cycles per SMART-hop (SSR, then ST+LT).
 
 use crate::config::NocConfig;
-use crate::router::{Arrival, Buffered, RouteTable, RouterCore, SwitchPolicy};
+use crate::router::{Arrival, Buffered, RouteTable, RouterCore};
 use crate::topology::{Direction, NodeId};
 
-/// A granted SMART Setup Request: the head of `lane` at `start` intends to
-/// leave in direction `dir` and travel `want_hops` hops this cycle.
+/// A granted SMART Setup Request: the head at `start` intends to leave in
+/// direction `dir` and travel `want_hops` hops this cycle.
 #[derive(Debug, Clone, Copy)]
 struct Ssr {
     start: NodeId,
-    lane: usize,
     dir: Direction,
     want_hops: u16,
 }
 
-/// Phase 1 of SMART has no eligibility check beyond a ready head and a free
-/// first link; every winner becomes an SSR.
-#[derive(Debug, Default)]
-struct SsrGrants(Vec<Ssr>);
-
-impl SwitchPolicy for SsrGrants {
-    fn grant(&mut self, start: NodeId, lane: usize, head: &Buffered) {
-        self.0.push(Ssr {
-            start,
-            lane,
-            dir: head.route.dir,
-            want_hops: head.route.hops,
-        });
-    }
-}
-
-/// Index of the (router, direction) pair an SSR starts from.
-fn start_index(node: NodeId, dir: Direction) -> usize {
-    node.index() * 4 + dir.index()
+/// Bit of `dir` in a router's `started` mask.
+fn dir_bit(dir: Direction) -> u8 {
+    1 << dir.index()
 }
 
 /// Walks the path `ssr` traverses this cycle under nearer-flit priority:
 /// its whole SMART-hop, or up to the first router downstream of its start
-/// (on its line, in its direction) where another SSR starts. `started`
-/// marks the start (router, direction) of every SSR granted this cycle.
-/// Calls `cross` with each router whose outgoing link the flit crosses, and
-/// returns the stop router and the hops travelled.
+/// (on its line, in its direction) where another SSR starts. `started[n]`
+/// holds the `dir_bit` of every direction an SSR granted this cycle
+/// starts in at router `n`. Calls `cross` with each router whose outgoing
+/// link the flit crosses, and returns the stop router and the hops
+/// travelled.
 fn travel(
     routes: &RouteTable,
-    started: &[bool],
+    started: &[u8],
     ssr: &Ssr,
     mut cross: impl FnMut(NodeId),
 ) -> (NodeId, u16) {
@@ -64,7 +48,7 @@ fn travel(
         cross(at);
         at = routes.advance(at, ssr.dir, 1);
         hops += 1;
-        if hops == ssr.want_hops || started[start_index(at, ssr.dir)] {
+        if hops == ssr.want_hops || started[at.index()] & dir_bit(ssr.dir) != 0 {
             return (at, hops);
         }
     }
@@ -74,18 +58,16 @@ fn travel(
 /// tick is the simulator's hottest loop; steady state must not allocate).
 #[derive(Debug)]
 pub(crate) struct SmartEngine {
-    ssrs: SsrGrants,
-    /// `started[node * 4 + dir]`: an SSR starts at `node` in `dir` this
-    /// cycle; set and reset through the SSR list.
-    started: Vec<bool>,
+    /// `started[node]`: the `dir_bit`s of the directions an SSR starts in
+    /// at `node` this cycle; set and reset through the winner list.
+    started: Vec<u8>,
 }
 
 impl SmartEngine {
     /// Builds the traversal state for the given configuration.
     pub fn new(cfg: &NocConfig) -> Self {
         SmartEngine {
-            ssrs: SsrGrants::default(),
-            started: vec![false; cfg.mesh.len() * 4],
+            started: vec![0; cfg.mesh.len()],
         }
     }
 
@@ -98,11 +80,10 @@ impl SmartEngine {
         // wins the switch and broadcasts an SSR of length
         // min(remaining-in-dimension, HPCmax). Each granted winner drives its
         // dedicated SSR wires that far this cycle, whatever phase 2 then
-        // truncates the traversal to.
-        core.allocate(now, &mut self.ssrs);
-        let ssrs = &self.ssrs.0;
-        core.counters.ssr_broadcasts += ssrs.len() as u64;
-        core.counters.ssr_hops += ssrs.iter().map(|s| u64::from(s.want_hops)).sum::<u64>();
+        // truncates the traversal to. SMART has no eligibility check beyond
+        // a ready head and a free first link.
+        core.allocate(now, None);
+        let mut winners = std::mem::take(&mut core.winners);
 
         // Phase 2 — SSR arbitration with nearer-flit priority: a flit
         // claiming the link out of its own router always beats a flit trying
@@ -115,18 +96,29 @@ impl SmartEngine {
         // its path earlier. Each SSR therefore travels
         // min(want_hops, distance to the next downstream start) and stops
         // (is prematurely buffered) at the router before the contended link.
-        for ssr in ssrs {
-            self.started[start_index(ssr.start, ssr.dir)] = true;
+        // Each SSR is read off its winner's buffered head: the broadcasts
+        // are counted and every start is marked before any winner leaves.
+        core.counters.ssr_broadcasts += winners.len() as u64;
+        for &(start, lane) in &winners {
+            let head = core.buffers[start.index()].head(lane);
+            let route = head.expect("winner lane holds a packet").route;
+            core.counters.ssr_hops += u64::from(route.hops);
+            self.started[start.index()] |= dir_bit(route.dir);
         }
 
         // Phase 3 — single-cycle multi-hop traversal (ST + LT) of the
         // granted paths. The flit is latched at the stop router at the end of
         // the next cycle; every claimed link is held for the packet length.
-        for ssr in ssrs {
-            let Buffered { flight, route, .. } = core.pop(ssr.start, ssr.lane);
+        for &(start, lane) in &winners {
+            let Buffered { flight, route, .. } = core.pop(start, lane);
+            let ssr = Ssr {
+                start,
+                dir: route.dir,
+                want_hops: route.hops,
+            };
             let flits = u64::from(flight.flits);
             let RouterCore { routes, links, .. } = &mut *core;
-            let (stop, hops) = travel(routes, &self.started, ssr, |node| {
+            let (stop, hops) = travel(routes, &self.started, &ssr, |node| {
                 links.occupy(node, usize::from(route.link), now + flits)
             });
             // Event accounting: one buffer read (in `pop`) at the start
@@ -149,10 +141,11 @@ impl SmartEngine {
                 arrivals,
             );
         }
-        for ssr in ssrs {
-            self.started[start_index(ssr.start, ssr.dir)] = false;
+        for &(start, _) in &winners {
+            self.started[start.index()] = 0;
         }
-        self.ssrs.0.clear();
+        winners.clear();
+        core.winners = winners;
     }
 }
 
@@ -307,7 +300,7 @@ mod tests {
                     continue;
                 }
                 let at = routes.advance(ssr.start, ssr.dir, round);
-                if claimed.insert(start_index(at, ssr.dir)) {
+                if claimed.insert((at, ssr.dir)) {
                     travel[i] += 1;
                 } else {
                     active[i] = false;
@@ -323,9 +316,9 @@ mod tests {
     /// The hops `travel` gives every SSR, and the premature stops they
     /// imply.
     fn one_pass_travel(routes: &RouteTable, nodes: usize, ssrs: &[Ssr]) -> (Vec<u16>, u64) {
-        let mut started = vec![false; nodes * 4];
+        let mut started = vec![0; nodes];
         for ssr in ssrs {
-            started[start_index(ssr.start, ssr.dir)] = true;
+            started[ssr.start.index()] |= dir_bit(ssr.dir);
         }
         let hops: Vec<u16> = ssrs
             .iter()
@@ -359,7 +352,6 @@ mod tests {
                 let want_hops = 1 + rng.next_below(u64::from(to_edge.min(hpc_max))) as u16;
                 ssrs.push(Ssr {
                     start,
-                    lane: 0,
                     dir,
                     want_hops,
                 });
@@ -400,7 +392,6 @@ mod tests {
         let routes = RouteTable::new(mesh, 4, false);
         let ssr = |start, want_hops| Ssr {
             start: NodeId(start),
-            lane: 0,
             dir: Direction::East,
             want_hops,
         };

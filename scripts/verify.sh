@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all -- --check (the workspace is rustfmt-clean)"
 cargo fmt --all -- --check
 
+echo "==> cargo fmt for perfbench/ (its own package, so the workspace gate skips it)"
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
