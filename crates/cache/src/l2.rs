@@ -1450,4 +1450,113 @@ mod tests {
         assert!(out.iter().any(|o| matches!(o.msg.kind, MsgKind::DataM(_))));
         assert_eq!(l2.line_state(LineAddr(0)), Some(MoesiState::M));
     }
+
+    fn remote(addr: u64, kind: MsgKind, src: Agent) -> ProtocolMsg {
+        ProtocolMsg {
+            addr: LineAddr(addr),
+            kind,
+            src,
+            dst: Agent::l2(NodeId(0)),
+            requester: NodeId(37),
+            issued_at: 300,
+        }
+    }
+
+    #[test]
+    fn remote_invalidation_replies_after_the_last_local_ack() {
+        let org = Organization::loco(
+            Mesh::new(8, 8),
+            crate::organization::OrganizationKind::LocoCcVms,
+            crate::organization::ClusterShape::new(4, 4),
+        );
+        let mut l2 = mk(org, 0);
+        // Node 0 owns line 0 (E, from DRAM) with local L1 sharers 1 and 2.
+        let mut out = Vec::new();
+        l2.handle(gets(0, 1, 0), 0, &mut out);
+        l2.handle(
+            ProtocolMsg {
+                kind: MsgKind::MemData,
+                src: Agent::mem(NodeId(4)),
+                ..gets(0, 1, 0)
+            },
+            210,
+            &mut out,
+        );
+        l2.handle(gets(0, 2, 0), 220, &mut out);
+        assert_eq!(l2.line_state(LineAddr(0)), Some(MoesiState::E));
+        assert_eq!(l2.outstanding(), 0);
+
+        // Another cluster's home broadcasts a write: both L1 copies are
+        // invalidated before the owner replies.
+        let bcast = remote(0, MsgKind::BcastGetM, Agent::l2(NodeId(36)));
+        let mut out = Vec::new();
+        l2.handle(bcast, 300, &mut out);
+        let invs: Vec<_> = out.iter().map(|o| (o.msg.kind, o.msg.dst)).collect();
+        assert_eq!(
+            invs,
+            vec![
+                (MsgKind::InvL1, Agent::l1(NodeId(1))),
+                (MsgKind::InvL1, Agent::l1(NodeId(2))),
+            ]
+        );
+        assert!(out.iter().all(|o| o.delay == l2.lat()));
+        assert_eq!(l2.line_state(LineAddr(0)), None);
+
+        // A local read arriving meanwhile waits behind the invalidation.
+        let mut out = Vec::new();
+        l2.handle(gets(0, 3, 0), 305, &mut out);
+        let ack = |from: u16| ProtocolMsg {
+            kind: MsgKind::InvAckL1 { dirty: false },
+            src: Agent::l1(NodeId(from)),
+            ..bcast
+        };
+        l2.handle(ack(1), 310, &mut out);
+        assert!(out.is_empty(), "no reply before the last local ack");
+
+        let reads = l2.stats().l2_data_reads;
+        l2.handle(ack(2), 312, &mut out);
+        assert_eq!(l2.stats().l2_data_reads, reads + 1);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].delay, 1);
+        assert_eq!(
+            out[0].msg,
+            ProtocolMsg {
+                kind: MsgKind::OwnerDataM,
+                src: Agent::l2(NodeId(0)),
+                dst: Agent::l2(NodeId(36)),
+                ..bcast
+            }
+        );
+        assert_eq!(out[1], Outgoing::after(1, gets(0, 3, 0)));
+        assert_eq!(l2.outstanding(), 0);
+    }
+
+    #[test]
+    fn remote_invalidation_without_local_sharers_replies_at_once() {
+        let org = Organization::loco(
+            Mesh::new(8, 8),
+            crate::organization::OrganizationKind::LocoCc,
+            crate::organization::ClusterShape::new(4, 4),
+        );
+        let mut l2 = mk(org, 0);
+        let dir = Agent::dir(NodeId(4));
+        // The directory forwards a write to us as the owner: the data goes
+        // straight to the requester's home (node 36).
+        let mut out = Vec::new();
+        l2.handle(remote(0, MsgKind::FwdGetM, dir), 300, &mut out);
+        assert_eq!(l2.stats().l2_data_reads, 1);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].delay, l2.lat());
+        assert_eq!(out[0].msg.kind, MsgKind::OwnerDataM);
+        assert_eq!(out[0].msg.dst, Agent::l2(NodeId(36)));
+        // A sharer's invalidation is acknowledged without data.
+        let mut out = Vec::new();
+        l2.handle(remote(16, MsgKind::InvL2, dir), 301, &mut out);
+        assert_eq!(l2.stats().l2_data_reads, 1);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].delay, l2.lat());
+        assert_eq!(out[0].msg.kind, MsgKind::InvAckL2);
+        assert_eq!(out[0].msg.dst, Agent::l2(NodeId(36)));
+        assert_eq!(l2.outstanding(), 0);
+    }
 }
