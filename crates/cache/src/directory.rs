@@ -10,8 +10,8 @@
 //!
 //! When no on-chip owner exists the directory performs the DRAM access
 //! itself (it sits next to the memory controller) and sends the data
-//! directly to the requester, charging the directory latency plus the DRAM
-//! latency.
+//! directly to the requester, charging the directory latency plus the
+//! memory controller's DRAM latency.
 
 use crate::address::LineAddr;
 use crate::line::SharerSet;
@@ -26,17 +26,11 @@ use std::collections::VecDeque;
 pub struct DirectoryConfig {
     /// Directory access latency (Table 1: 10 cycles).
     pub latency: u64,
-    /// DRAM access latency charged when the directory itself must fetch the
-    /// line (Table 1: 200 cycles).
-    pub memory_latency: u64,
 }
 
 impl Default for DirectoryConfig {
     fn default() -> Self {
-        DirectoryConfig {
-            latency: 10,
-            memory_latency: 200,
-        }
+        DirectoryConfig { latency: 10 }
     }
 }
 
@@ -53,16 +47,20 @@ struct DirEntry {
 pub struct DirectoryController {
     node: NodeId,
     cfg: DirectoryConfig,
+    /// DRAM latency charged when the directory itself fetches a line.
+    mem_latency: u64,
     entries: FxHashMap<LineAddr, DirEntry>,
     stats: CacheStats,
 }
 
 impl DirectoryController {
-    /// Creates the directory slice at `node`.
-    pub fn new(node: NodeId, cfg: DirectoryConfig) -> Self {
+    /// Creates the directory slice at `node`, next to a memory controller
+    /// whose DRAM latency is `mem_latency`.
+    pub fn new(node: NodeId, cfg: DirectoryConfig, mem_latency: u64) -> Self {
         DirectoryController {
             node,
             cfg,
+            mem_latency,
             entries: FxHashMap::default(),
             stats: CacheStats::default(),
         }
@@ -109,7 +107,14 @@ impl DirectoryController {
     fn handle_get(&mut self, msg: ProtocolMsg, is_write: bool, out: &mut Vec<Outgoing>) {
         let requester_l2 = msg.src.node;
         let lat = self.cfg.latency;
-        let mem_lat = self.cfg.memory_latency;
+        let mem_lat = self.mem_latency;
+        let me = Agent::dir(self.node);
+        let send = |out: &mut Vec<Outgoing>, delay: u64, kind: MsgKind, dst: NodeId| {
+            out.push(Outgoing::after(
+                delay,
+                ProtocolMsg::derived(&msg, kind, me, Agent::l2(dst)),
+            ));
+        };
         self.stats.dir_lookups += 1;
         let entry = self.entries.entry(msg.addr).or_default();
         if entry.busy {
@@ -119,29 +124,11 @@ impl DirectoryController {
         entry.busy = true;
         if !is_write {
             match entry.owner.filter(|&o| o != requester_l2) {
-                Some(owner) => {
-                    out.push(Outgoing::after(
-                        lat,
-                        ProtocolMsg::derived(
-                            &msg,
-                            MsgKind::FwdGetS,
-                            Agent::dir(self.node),
-                            Agent::l2(owner),
-                        ),
-                    ));
-                }
+                Some(owner) => send(out, lat, MsgKind::FwdGetS, owner),
                 None => {
                     // No on-chip owner: fetch from DRAM right here.
                     self.stats.offchip_fetches += 1;
-                    out.push(Outgoing::after(
-                        lat + mem_lat,
-                        ProtocolMsg::derived(
-                            &msg,
-                            MsgKind::MemData,
-                            Agent::dir(self.node),
-                            Agent::l2(requester_l2),
-                        ),
-                    ));
+                    send(out, lat + mem_lat, MsgKind::MemData, requester_l2);
                     if entry.sharers.is_empty() {
                         entry.owner = Some(requester_l2);
                     }
@@ -159,27 +146,11 @@ impl DirectoryController {
                 }
                 acks += 1;
                 self.stats.invalidations += 1;
-                out.push(Outgoing::after(
-                    lat,
-                    ProtocolMsg::derived(
-                        &msg,
-                        MsgKind::InvL2,
-                        Agent::dir(self.node),
-                        Agent::l2(sharer),
-                    ),
-                ));
+                send(out, lat, MsgKind::InvL2, sharer);
             }
             let data_coming = match entry.owner.filter(|&o| o != requester_l2) {
                 Some(owner) => {
-                    out.push(Outgoing::after(
-                        lat,
-                        ProtocolMsg::derived(
-                            &msg,
-                            MsgKind::FwdGetM,
-                            Agent::dir(self.node),
-                            Agent::l2(owner),
-                        ),
-                    ));
+                    send(out, lat, MsgKind::FwdGetM, owner);
                     true
                 }
                 None => {
@@ -188,28 +159,17 @@ impl DirectoryController {
                         false
                     } else {
                         self.stats.offchip_fetches += 1;
-                        out.push(Outgoing::after(
-                            lat + mem_lat,
-                            ProtocolMsg::derived(
-                                &msg,
-                                MsgKind::MemData,
-                                Agent::dir(self.node),
-                                Agent::l2(requester_l2),
-                            ),
-                        ));
+                        send(out, lat + mem_lat, MsgKind::MemData, requester_l2);
                         true
                     }
                 }
             };
-            out.push(Outgoing::after(
+            send(
+                out,
                 lat,
-                ProtocolMsg::derived(
-                    &msg,
-                    MsgKind::DirInfo { acks, data_coming },
-                    Agent::dir(self.node),
-                    Agent::l2(requester_l2),
-                ),
-            ));
+                MsgKind::DirInfo { acks, data_coming },
+                requester_l2,
+            );
             entry.sharers.clear();
             entry.sharers.insert(requester_l2);
             entry.owner = Some(requester_l2);
@@ -222,7 +182,7 @@ mod tests {
     use super::*;
 
     fn dir() -> DirectoryController {
-        DirectoryController::new(NodeId(4), DirectoryConfig::default())
+        DirectoryController::new(NodeId(4), DirectoryConfig::default(), 200)
     }
 
     fn get(addr: u64, from_l2: u16, write: bool) -> ProtocolMsg {

@@ -65,58 +65,60 @@ impl L2Meta {
     }
 }
 
+/// What a home-node transaction does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TxnKind {
-    /// A local L1 read (GetS).
+    /// A local L1 read (GetS): completes on its data.
     Read,
-    /// A local L1 write / upgrade (GetM).
+    /// A local L1 write / upgrade (GetM): completes on its data and every
+    /// ack.
     Write,
-    /// Invalidation of local L1 copies on behalf of a remote requester.
-    RemoteInv,
+    /// Invalidation of the local L1 copies on behalf of a remote requester:
+    /// completes on its L1 acks, then replies to `reply_to`: `OwnerDataM`
+    /// if `with_data` (we owned the line), else `InvAckL2`.
+    RemoteInv { reply_to: Agent, with_data: bool },
 }
 
+/// How a transaction reaches beyond the coherence domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// Not at all, or straight to DRAM (the shared baseline).
+    Local,
+    /// A VMS broadcast: each other cluster's home answers once, an owner
+    /// with its data. A miss also sends the speculative `MemRead`.
+    Vms,
+    /// The global directory; `Unblock` it on completion. A write waits for
+    /// its `DirInfo` (`info_pending`) to learn how many acks to collect.
+    Directory { info_pending: bool },
+}
+
+/// One outstanding transaction at the home node.
 #[derive(Debug)]
 struct Mshr {
     kind: TxnKind,
-    requester_l1: NodeId,
-    issued_at: u64,
+    leg: Leg,
+    /// The request that opened the transaction.
+    origin: ProtocolMsg,
     started_search_at: Option<u64>,
     acks_needed: u32,
     acks_received: u32,
-    data_received: bool,
-    dir_info_pending: bool,
-    vms_mode: bool,
-    went_to_memory: bool,
-    used_directory: bool,
+    /// Where the data came from, once it is here.
+    data: Option<ResponseSource>,
     /// State to install on completion (`None`: keep the resident state).
     install_state: Option<MoesiState>,
-    source: ResponseSource,
-    waiting: Vec<ProtocolMsg>,
-    /// RemoteInv: where to send the final acknowledgement.
-    reply_to: Option<Agent>,
-    /// RemoteInv: acknowledgement carries data (we were the owner).
-    reply_with_data: bool,
 }
 
 impl Mshr {
-    fn new(kind: TxnKind, requester_l1: NodeId, issued_at: u64) -> Self {
+    fn new(kind: TxnKind, leg: Leg, origin: ProtocolMsg) -> Self {
         Mshr {
             kind,
-            requester_l1,
-            issued_at,
+            leg,
+            origin,
             started_search_at: None,
             acks_needed: 0,
             acks_received: 0,
-            data_received: false,
-            dir_info_pending: false,
-            vms_mode: false,
-            went_to_memory: false,
-            used_directory: false,
+            data: None,
             install_state: None,
-            source: ResponseSource::Home,
-            waiting: Vec::new(),
-            reply_to: None,
-            reply_with_data: false,
         }
     }
 }
@@ -130,6 +132,9 @@ pub struct L2Controller {
     cfg: L2Config,
     array: CacheArray<L2Meta>,
     mshrs: FxHashMap<LineAddr, Mshr>,
+    /// Local requests parked behind an open transaction on their line, in
+    /// arrival order; replayed when it completes.
+    parked: Vec<ProtocolMsg>,
     stats: CacheStats,
     rng: SplitMix64,
 }
@@ -144,6 +149,7 @@ impl L2Controller {
             cfg,
             array: CacheArray::new(cfg.geometry),
             mshrs: FxHashMap::default(),
+            parked: Vec::new(),
             stats: CacheStats::default(),
             rng: SplitMix64::new(0x10c0 ^ node.index() as u64),
         }
@@ -181,6 +187,20 @@ impl L2Controller {
         (t / self.cfg.timestamp_quantum) * self.cfg.timestamp_quantum
     }
 
+    /// Sends `kind` from this L2 to `dst` after `delay` cycles. The line,
+    /// requester and issue time are those of `about`.
+    fn send(
+        &self,
+        out: &mut Vec<Outgoing>,
+        delay: u64,
+        about: &ProtocolMsg,
+        kind: MsgKind,
+        dst: Agent,
+    ) {
+        let msg = ProtocolMsg::derived(about, kind, Agent::l2(self.node), dst);
+        out.push(Outgoing::after(delay, msg));
+    }
+
     /// The same-HNid home node of `line` in a random cluster other than
     /// this node's: the target of an IVR migration.
     fn random_other_home(&mut self, line: LineAddr) -> NodeId {
@@ -198,7 +218,9 @@ impl L2Controller {
         match msg.kind {
             MsgKind::GetS | MsgKind::GetM => self.handle_l1_request(msg, now, out),
             MsgKind::WbL1 => self.handle_l1_writeback(msg, now),
-            MsgKind::InvAckL1 { .. } => self.handle_l1_inv_ack(msg, now, out),
+            MsgKind::InvAckL1 { .. } | MsgKind::AckNoData | MsgKind::InvAckL2 => {
+                self.handle_ack(msg, now, out)
+            }
             MsgKind::DirInfo { acks, data_coming } => {
                 self.handle_dir_info(msg, acks, data_coming, now, out)
             }
@@ -206,14 +228,9 @@ impl L2Controller {
             MsgKind::FwdGetM | MsgKind::InvL2 => self.handle_remote_inv(msg, out),
             MsgKind::BcastGetS => self.handle_bcast_gets(msg, now, out),
             MsgKind::BcastGetM => self.handle_bcast_getm(msg, out),
-            MsgKind::OwnerData => {
-                self.handle_data(msg, MoesiState::S, ResponseSource::Remote, now, out)
+            MsgKind::OwnerData | MsgKind::OwnerDataM | MsgKind::MemData => {
+                self.handle_data(msg, now, out)
             }
-            MsgKind::OwnerDataM => {
-                self.handle_data(msg, MoesiState::M, ResponseSource::Remote, now, out)
-            }
-            MsgKind::MemData => self.handle_mem_data(msg, now, out),
-            MsgKind::AckNoData | MsgKind::InvAckL2 => self.handle_global_ack(msg, now, out),
             MsgKind::IvrMigrate {
                 state,
                 last_access,
@@ -226,8 +243,8 @@ impl L2Controller {
     // ---------------------------------------------------------------- L1 side
 
     fn handle_l1_request(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
-        if let Some(mshr) = self.mshrs.get_mut(&msg.addr) {
-            mshr.waiting.push(msg);
+        if self.mshrs.contains_key(&msg.addr) {
+            self.parked.push(msg);
             return;
         }
         let is_write = msg.kind == MsgKind::GetM;
@@ -266,8 +283,8 @@ impl L2Controller {
         if let Some(owner) = l1_owner.filter(|&o| o != msg.requester) {
             // Another L1 in the domain holds a modified copy: recall it
             // before granting the shared copy.
-            let mut mshr = Mshr::new(TxnKind::Read, msg.requester, msg.issued_at);
-            mshr.data_received = true;
+            let mut mshr = Mshr::new(TxnKind::Read, Leg::Local, msg);
+            mshr.data = Some(ResponseSource::Home);
             mshr.acks_needed = 1;
             self.mshrs.insert(msg.addr, mshr);
             self.stats.invalidations += 1;
@@ -275,25 +292,15 @@ impl L2Controller {
                 entry.meta.l1_owner = None;
                 entry.meta.sharers.remove(owner);
             }
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(&msg, MsgKind::InvL1, Agent::l2(self.node), Agent::l1(owner)),
-            ));
+            self.send(out, self.lat(), &msg, MsgKind::InvL1, Agent::l1(owner));
             return;
         }
         if let Some(entry) = self.array.peek_mut(set, msg.addr) {
             entry.meta.sharers.insert(msg.requester);
         }
         self.stats.l2_data_reads += 1;
-        out.push(Outgoing::after(
-            self.lat(),
-            ProtocolMsg::derived(
-                &msg,
-                MsgKind::DataS(ResponseSource::Home),
-                Agent::l2(self.node),
-                Agent::l1(msg.requester),
-            ),
-        ));
+        let grant = MsgKind::DataS(ResponseSource::Home);
+        self.send(out, self.lat(), &msg, grant, Agent::l1(msg.requester));
     }
 
     fn serve_local_write_hit(
@@ -304,17 +311,14 @@ impl L2Controller {
         now: u64,
         out: &mut Vec<Outgoing>,
     ) {
-        let mut mshr = Mshr::new(TxnKind::Write, msg.requester, msg.issued_at);
-        mshr.data_received = true;
+        let mut mshr = Mshr::new(TxnKind::Write, Leg::Local, msg);
+        mshr.data = Some(ResponseSource::Home);
         mshr.install_state = Some(MoesiState::M);
         // Invalidate other L1 copies inside the domain.
         for l1 in sharers.iter().filter(|&s| s != msg.requester) {
             mshr.acks_needed += 1;
             self.stats.invalidations += 1;
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(&msg, MsgKind::InvL1, Agent::l2(self.node), Agent::l1(l1)),
-            ));
+            self.send(out, self.lat(), &msg, MsgKind::InvL1, Agent::l1(l1));
         }
         // Other clusters / tiles may hold copies when the line is not
         // exclusively ours.
@@ -322,31 +326,15 @@ impl L2Controller {
             !self.org.is_chip_wide_shared() && matches!(state, MoesiState::S | MoesiState::O);
         if needs_global {
             if self.org.uses_vms() {
-                mshr.vms_mode = true;
+                mshr.leg = Leg::Vms;
                 mshr.acks_needed += (self.org.num_clusters() - 1) as u32;
                 self.stats.broadcasts += 1;
-                out.push(Outgoing::after(
-                    self.lat(),
-                    ProtocolMsg::derived(
-                        &msg,
-                        MsgKind::BcastGetM,
-                        Agent::l2(self.node),
-                        Agent::l2(self.node),
-                    ),
-                ));
+                let me = Agent::l2(self.node);
+                self.send(out, self.lat(), &msg, MsgKind::BcastGetM, me);
             } else if self.org.uses_global_directory() {
-                mshr.used_directory = true;
-                mshr.dir_info_pending = true;
-                let dir = self.memmap.controller_for(msg.addr);
-                out.push(Outgoing::after(
-                    self.lat(),
-                    ProtocolMsg::derived(
-                        &msg,
-                        MsgKind::GblGetM,
-                        Agent::l2(self.node),
-                        Agent::dir(dir),
-                    ),
-                ));
+                mshr.leg = Leg::Directory { info_pending: true };
+                let dir = Agent::dir(self.memmap.controller_for(msg.addr));
+                self.send(out, self.lat(), &msg, MsgKind::GblGetM, dir);
             }
         }
         self.mshrs.insert(msg.addr, mshr);
@@ -360,73 +348,49 @@ impl L2Controller {
         now: u64,
         out: &mut Vec<Outgoing>,
     ) {
-        let kind = if is_write {
-            TxnKind::Write
-        } else {
-            TxnKind::Read
+        let (kind, state, bcast, global) = match is_write {
+            true => (
+                TxnKind::Write,
+                MoesiState::M,
+                MsgKind::BcastGetM,
+                MsgKind::GblGetM,
+            ),
+            false => (
+                TxnKind::Read,
+                MoesiState::S,
+                MsgKind::BcastGetS,
+                MsgKind::GblGetS,
+            ),
         };
-        let mut mshr = Mshr::new(kind, msg.requester, msg.issued_at);
-        mshr.started_search_at = Some(now);
-        mshr.install_state = Some(if is_write {
-            MoesiState::M
-        } else {
-            MoesiState::S
-        });
-        if self.org.is_chip_wide_shared() {
-            // The home L2 is the only on-chip copy: straight to memory.
-            mshr.went_to_memory = true;
-            let mem = self.memmap.controller_for(msg.addr);
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(
-                    &msg,
-                    MsgKind::MemRead,
-                    Agent::l2(self.node),
-                    Agent::mem(mem),
-                ),
-            ));
+        let leg = if self.org.is_chip_wide_shared() {
+            Leg::Local
         } else if self.org.uses_vms() {
-            mshr.vms_mode = true;
-            mshr.acks_needed = (self.org.num_clusters() - 1) as u32;
-            self.stats.broadcasts += 1;
-            let bkind = if is_write {
-                MsgKind::BcastGetM
-            } else {
-                MsgKind::BcastGetS
-            };
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(&msg, bkind, Agent::l2(self.node), Agent::l2(self.node)),
-            ));
-            // Section 3.4: "The request is sent to off-chip memory as well."
-            // The DRAM fetch is speculative; it is cancelled if an on-chip
-            // owner responds first.
-            mshr.went_to_memory = true;
-            let mem = self.memmap.controller_for(msg.addr);
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(
-                    &msg,
-                    MsgKind::MemRead,
-                    Agent::l2(self.node),
-                    Agent::mem(mem),
-                ),
-            ));
+            Leg::Vms
         } else {
+            Leg::Directory {
+                info_pending: is_write,
+            }
+        };
+        let mut mshr = Mshr::new(kind, leg, msg);
+        mshr.started_search_at = Some(now);
+        mshr.install_state = Some(state);
+        let controller = self.memmap.controller_for(msg.addr);
+        let (mem, dir) = (Agent::mem(controller), Agent::dir(controller));
+        match leg {
+            // The home L2 is the only on-chip copy: straight to memory.
+            Leg::Local => self.send(out, self.lat(), &msg, MsgKind::MemRead, mem),
+            Leg::Vms => {
+                mshr.acks_needed = (self.org.num_clusters() - 1) as u32;
+                self.stats.broadcasts += 1;
+                self.send(out, self.lat(), &msg, bcast, Agent::l2(self.node));
+                // Section 3.4: "The request is sent to off-chip memory as
+                // well." The DRAM fetch is speculative; it is cancelled if an
+                // on-chip owner responds first.
+                self.send(out, self.lat(), &msg, MsgKind::MemRead, mem);
+            }
             // Private baseline and LOCO CC: indirection through the global
             // directory at the memory controller.
-            mshr.used_directory = true;
-            mshr.dir_info_pending = is_write;
-            let dir = self.memmap.controller_for(msg.addr);
-            let gkind = if is_write {
-                MsgKind::GblGetM
-            } else {
-                MsgKind::GblGetS
-            };
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(&msg, gkind, Agent::l2(self.node), Agent::dir(dir)),
-            ));
+            Leg::Directory { .. } => self.send(out, self.lat(), &msg, global, dir),
         }
         self.mshrs.insert(msg.addr, mshr);
     }
@@ -450,19 +414,6 @@ impl L2Controller {
         }
     }
 
-    fn handle_l1_inv_ack(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
-        let Some(mshr) = self.mshrs.get_mut(&msg.addr) else {
-            // Fire-and-forget invalidation (e.g. inclusive-eviction back-inval).
-            return;
-        };
-        mshr.acks_received += 1;
-        if mshr.kind == TxnKind::RemoteInv {
-            self.try_finish_remote_inv(msg.addr, out);
-        } else {
-            self.try_complete(msg.addr, now, out);
-        }
-    }
-
     fn handle_dir_info(
         &mut self,
         msg: ProtocolMsg,
@@ -474,11 +425,13 @@ impl L2Controller {
         let Some(mshr) = self.mshrs.get_mut(&msg.addr) else {
             return;
         };
-        mshr.dir_info_pending = false;
+        mshr.leg = Leg::Directory {
+            info_pending: false,
+        };
         mshr.acks_needed += acks;
         if !data_coming {
             // Upgrade: we already hold the data.
-            mshr.data_received = true;
+            mshr.data.get_or_insert(ResponseSource::Home);
         }
         self.try_complete(msg.addr, now, out);
     }
@@ -497,15 +450,8 @@ impl L2Controller {
         }
         self.stats.l2_data_reads += 1;
         let requester_home = self.org.home_node(msg.requester, msg.addr);
-        out.push(Outgoing::after(
-            self.lat(),
-            ProtocolMsg::derived(
-                &msg,
-                MsgKind::OwnerData,
-                Agent::l2(self.node),
-                Agent::l2(requester_home),
-            ),
-        ));
+        let dst = Agent::l2(requester_home);
+        self.send(out, self.lat(), &msg, MsgKind::OwnerData, dst);
     }
 
     fn handle_remote_inv(&mut self, msg: ProtocolMsg, out: &mut Vec<Outgoing>) {
@@ -529,33 +475,23 @@ impl L2Controller {
             }
             _ => MsgKind::AckNoData,
         };
-        out.push(Outgoing::after(
-            self.lat(),
-            ProtocolMsg::derived(&msg, reply_kind, Agent::l2(self.node), msg.src),
-        ));
+        self.send(out, self.lat(), &msg, reply_kind, msg.src);
     }
 
     fn handle_bcast_getm(&mut self, msg: ProtocolMsg, out: &mut Vec<Outgoing>) {
         let set = self.set_of(msg.addr);
         self.stats.l2_tag_probes += 1;
-        if self.array.peek(set, msg.addr).is_none() {
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(&msg, MsgKind::AckNoData, Agent::l2(self.node), msg.src),
-            ));
-            return;
+        match self.array.peek(set, msg.addr) {
+            Some(entry) => {
+                let was_owner = entry.meta.state.is_owner();
+                self.remote_invalidate(msg, msg.src, was_owner, out);
+            }
+            None => self.send(out, self.lat(), &msg, MsgKind::AckNoData, msg.src),
         }
-        let was_owner = self
-            .array
-            .peek(set, msg.addr)
-            .map(|e| e.meta.state.is_owner())
-            .unwrap_or(false);
-        self.remote_invalidate(msg, msg.src, was_owner, out);
     }
 
     /// Invalidate the domain's copy of `msg.addr`, collecting local L1 acks,
-    /// then send the acknowledgement (`OwnerDataM` if `with_data`, else
-    /// `InvAckL2`) to `reply_to`.
+    /// then reply to `reply_to` (see `TxnKind::RemoteInv`).
     fn remote_invalidate(
         &mut self,
         msg: ProtocolMsg,
@@ -577,195 +513,150 @@ impl L2Controller {
             // transaction — answer immediately to avoid cross-cluster
             // deadlock; the local transaction will re-establish coherence
             // when it completes).
-            if with_data {
-                self.stats.l2_data_reads += 1;
-            }
-            let kind = if with_data {
-                MsgKind::OwnerDataM
-            } else {
-                MsgKind::InvAckL2
-            };
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(&msg, kind, Agent::l2(self.node), reply_to),
-            ));
+            self.reply_remote(out, self.lat(), &msg, reply_to, with_data);
             return;
         }
-        let mut mshr = Mshr::new(TxnKind::RemoteInv, msg.requester, msg.issued_at);
-        mshr.reply_to = Some(reply_to);
-        mshr.reply_with_data = with_data;
+        let kind = TxnKind::RemoteInv {
+            reply_to,
+            with_data,
+        };
+        let mut mshr = Mshr::new(kind, Leg::Local, msg);
         mshr.acks_needed = sharers.len() as u32;
         for l1 in sharers.iter() {
             self.stats.invalidations += 1;
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(&msg, MsgKind::InvL1, Agent::l2(self.node), Agent::l1(l1)),
-            ));
+            self.send(out, self.lat(), &msg, MsgKind::InvL1, Agent::l1(l1));
         }
         self.mshrs.insert(msg.addr, mshr);
     }
 
-    fn try_finish_remote_inv(&mut self, addr: LineAddr, out: &mut Vec<Outgoing>) {
-        let done = {
-            let mshr = self.mshrs.get(&addr).expect("remote-inv mshr present");
-            mshr.acks_received >= mshr.acks_needed
-        };
-        if !done {
-            return;
-        }
-        let mshr = self.mshrs.remove(&addr).expect("remote-inv mshr present");
-        let reply_to = mshr.reply_to.expect("remote-inv has a reply target");
-        if mshr.reply_with_data {
+    /// Answers a remote invalidation of `about`'s line: `OwnerDataM` if
+    /// `with_data`, else `InvAckL2`.
+    fn reply_remote(
+        &mut self,
+        out: &mut Vec<Outgoing>,
+        delay: u64,
+        about: &ProtocolMsg,
+        reply_to: Agent,
+        with_data: bool,
+    ) {
+        let kind = if with_data {
             self.stats.l2_data_reads += 1;
-        }
-        let kind = if mshr.reply_with_data {
             MsgKind::OwnerDataM
         } else {
             MsgKind::InvAckL2
         };
-        out.push(Outgoing::after(
-            1,
-            ProtocolMsg {
-                addr,
-                kind,
-                src: Agent::l2(self.node),
-                dst: reply_to,
-                requester: mshr.requester_l1,
-                issued_at: mshr.issued_at,
-            },
-        ));
-        self.replay_waiting(mshr.waiting, out);
+        self.send(out, delay, about, kind, reply_to);
     }
 
     // ------------------------------------------------------- data / ack side
 
-    fn handle_data(
-        &mut self,
-        msg: ProtocolMsg,
-        grant: MoesiState,
-        source: ResponseSource,
-        now: u64,
-        out: &mut Vec<Outgoing>,
-    ) {
+    /// `OwnerData`, `OwnerDataM` (an on-chip owner) or `MemData` (DRAM, or
+    /// the directory's DRAM fetch): the first one is the transaction's data.
+    fn handle_data(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
+        let (source, install) = match msg.kind {
+            MsgKind::OwnerData => (ResponseSource::Remote, MoesiState::S),
+            MsgKind::OwnerDataM => (ResponseSource::Remote, MoesiState::M),
+            _ => (ResponseSource::Memory, MoesiState::E),
+        };
         let Some(mshr) = self.mshrs.get_mut(&msg.addr) else {
             return;
         };
-        if mshr.kind == TxnKind::RemoteInv {
+        if matches!(mshr.kind, TxnKind::RemoteInv { .. }) {
             return;
         }
-        if mshr.vms_mode {
+        // On the VMS an owner's data is its answer to the broadcast.
+        let vms_owner = mshr.leg == Leg::Vms && source == ResponseSource::Remote;
+        if vms_owner {
             mshr.acks_received += 1;
         }
-        if !mshr.data_received {
-            mshr.data_received = true;
-            mshr.source = source;
+        let first = mshr.data.is_none();
+        if first {
+            mshr.data = Some(source);
             if mshr.kind == TxnKind::Read {
-                mshr.install_state = Some(grant);
+                mshr.install_state = Some(install);
             }
+        }
+        if first && vms_owner {
             // An on-chip owner answered: cancel the speculative DRAM fetch.
-            if mshr.vms_mode && mshr.went_to_memory && source == ResponseSource::Remote {
-                let mem = self.memmap.controller_for(msg.addr);
-                out.push(Outgoing::after(
-                    1,
-                    ProtocolMsg::derived(
-                        &msg,
-                        MsgKind::MemCancel,
-                        Agent::l2(self.node),
-                        Agent::mem(mem),
-                    ),
-                ));
-            }
+            let mem = Agent::mem(self.memmap.controller_for(msg.addr));
+            self.send(out, 1, &msg, MsgKind::MemCancel, mem);
         }
         self.try_complete(msg.addr, now, out);
     }
 
-    fn handle_mem_data(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
+    /// `InvAckL1` (a local L1), `AckNoData` (a VMS broadcast) or `InvAckL2`
+    /// (a directory invalidation of another cluster or tile).
+    fn handle_ack(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
         let Some(mshr) = self.mshrs.get_mut(&msg.addr) else {
+            // Fire-and-forget invalidation (e.g. inclusive-eviction back-inval).
             return;
         };
-        if !mshr.data_received {
-            mshr.data_received = true;
-            mshr.source = ResponseSource::Memory;
-            if mshr.kind == TxnKind::Read {
-                mshr.install_state = Some(MoesiState::E);
-            }
+        // A remote invalidation counts only its local L1 acks.
+        let from_l1 = matches!(msg.kind, MsgKind::InvAckL1 { .. });
+        if from_l1 || !matches!(mshr.kind, TxnKind::RemoteInv { .. }) {
+            mshr.acks_received += 1;
         }
-        self.try_complete(msg.addr, now, out);
-    }
-
-    fn handle_global_ack(&mut self, msg: ProtocolMsg, now: u64, out: &mut Vec<Outgoing>) {
-        let Some(mshr) = self.mshrs.get_mut(&msg.addr) else {
-            return;
-        };
-        if mshr.kind == TxnKind::RemoteInv {
-            return;
-        }
-        mshr.acks_received += 1;
         self.try_complete(msg.addr, now, out);
     }
 
     fn try_complete(&mut self, addr: LineAddr, now: u64, out: &mut Vec<Outgoing>) {
-        let (done, need_memory) = {
-            let Some(mshr) = self.mshrs.get(&addr) else {
-                return;
-            };
-            if mshr.kind == TxnKind::RemoteInv {
-                return;
-            }
-            let acks_done = mshr.acks_received >= mshr.acks_needed && !mshr.dir_info_pending;
-            // A read completes on data alone, a write also needs every ack.
-            // A VMS search that drew no on-chip owner falls back to DRAM.
-            (
-                mshr.data_received && (mshr.kind == TxnKind::Read || acks_done),
-                !mshr.data_received && acks_done && mshr.vms_mode && !mshr.went_to_memory,
-            )
-        };
-
-        if need_memory {
-            // The broadcast found no on-chip owner: fall back to DRAM.
-            let mem = self.memmap.controller_for(addr);
-            let mshr = self.mshrs.get_mut(&addr).expect("mshr present");
-            mshr.went_to_memory = true;
-            out.push(Outgoing::after(
-                1,
-                ProtocolMsg {
-                    addr,
-                    kind: MsgKind::MemRead,
-                    src: Agent::l2(self.node),
-                    dst: Agent::mem(mem),
-                    requester: mshr.requester_l1,
-                    issued_at: mshr.issued_at,
-                },
-            ));
+        let Some(mshr) = self.mshrs.get(&addr) else {
             return;
-        }
+        };
+        let acks_done = mshr.acks_received >= mshr.acks_needed
+            && mshr.leg != (Leg::Directory { info_pending: true });
+        let done = match mshr.kind {
+            TxnKind::Read => mshr.data.is_some(),
+            TxnKind::Write => mshr.data.is_some() && acks_done,
+            TxnKind::RemoteInv { .. } => acks_done,
+        };
         if !done {
             return;
         }
-
         let mshr = self.mshrs.remove(&addr).expect("mshr present");
-        let set = self.set_of(addr);
+        match mshr.kind {
+            TxnKind::RemoteInv {
+                reply_to,
+                with_data,
+            } => self.reply_remote(out, 1, &mshr.origin, reply_to, with_data),
+            TxnKind::Read | TxnKind::Write => self.fill_and_grant(&mshr, now, out),
+        }
+        // Replay the requests parked behind it.
+        self.parked.retain(|m| {
+            if m.addr == addr {
+                out.push(Outgoing::after(1, *m));
+            }
+            m.addr != addr
+        });
+    }
+
+    /// Completes a local read or write: installs the line and grants it to
+    /// the requesting L1.
+    fn fill_and_grant(&mut self, mshr: &Mshr, now: u64, out: &mut Vec<Outgoing>) {
+        let addr = mshr.origin.addr;
+        let requester = mshr.origin.requester;
+        let source = mshr
+            .data
+            .expect("a completed local transaction has its data");
+        let is_write = mshr.kind == TxnKind::Write;
+
         // Install or update the line.
-        let already_resident = self.array.peek(set, addr).is_some();
-        if already_resident {
-            let entry = self.array.peek_mut(set, addr).expect("resident entry");
+        let set = self.set_of(addr);
+        if let Some(entry) = self.array.peek_mut(set, addr) {
             entry.last_access = now;
             if let Some(state) = mshr.install_state {
                 entry.meta.state = state;
             }
-            if mshr.kind == TxnKind::Write {
+            if is_write {
                 entry.meta.sharers.clear();
-                entry.meta.sharers.insert(mshr.requester_l1);
-                entry.meta.l1_owner = Some(mshr.requester_l1);
-            } else {
-                entry.meta.sharers.insert(mshr.requester_l1);
+                entry.meta.l1_owner = Some(requester);
             }
+            entry.meta.sharers.insert(requester);
         } else {
             let mut meta = L2Meta::new(mshr.install_state.unwrap_or(MoesiState::S));
-            meta.sharers.insert(mshr.requester_l1);
-            if mshr.kind == TxnKind::Write {
-                meta.l1_owner = Some(mshr.requester_l1);
-                meta.state = MoesiState::M;
+            meta.sharers.insert(requester);
+            if is_write {
+                meta.l1_owner = Some(requester);
             }
             self.stats.l2_data_writes += 1;
             if let Eviction::Victim(victim) = self.array.insert(set, addr, meta, now) {
@@ -775,7 +666,7 @@ impl L2Controller {
 
         // Statistics: on-chip search delay (Figure 9) and remote hits.
         if let Some(start) = mshr.started_search_at {
-            if mshr.source == ResponseSource::Remote {
+            if source == ResponseSource::Remote {
                 self.stats.search_delay_sum += now.saturating_sub(start);
                 self.stats.search_delay_count += 1;
                 self.stats.remote_hits += 1;
@@ -785,42 +676,15 @@ impl L2Controller {
         // Grant to the requesting L1 (the data is read back out of the
         // array, or forwarded straight through on a miss fill).
         self.stats.l2_data_reads += 1;
-        let grant = if mshr.kind == TxnKind::Write {
-            MsgKind::DataM(mshr.source)
+        let grant = if is_write {
+            MsgKind::DataM(source)
         } else {
-            MsgKind::DataS(mshr.source)
+            MsgKind::DataS(source)
         };
-        out.push(Outgoing::after(
-            self.lat(),
-            ProtocolMsg {
-                addr,
-                kind: grant,
-                src: Agent::l2(self.node),
-                dst: Agent::l1(mshr.requester_l1),
-                requester: mshr.requester_l1,
-                issued_at: mshr.issued_at,
-            },
-        ));
-        if mshr.used_directory {
-            let dir = self.memmap.controller_for(addr);
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg {
-                    addr,
-                    kind: MsgKind::Unblock,
-                    src: Agent::l2(self.node),
-                    dst: Agent::dir(dir),
-                    requester: mshr.requester_l1,
-                    issued_at: mshr.issued_at,
-                },
-            ));
-        }
-        self.replay_waiting(mshr.waiting, out);
-    }
-
-    fn replay_waiting(&mut self, waiting: Vec<ProtocolMsg>, out: &mut Vec<Outgoing>) {
-        for m in waiting {
-            out.push(Outgoing::after(1, m));
+        self.send(out, self.lat(), &mshr.origin, grant, Agent::l1(requester));
+        if let Leg::Directory { .. } = mshr.leg {
+            let dir = Agent::dir(self.memmap.controller_for(addr));
+            self.send(out, self.lat(), &mshr.origin, MsgKind::Unblock, dir);
         }
     }
 
@@ -833,20 +697,24 @@ impl L2Controller {
         now: u64,
         out: &mut Vec<Outgoing>,
     ) {
+        // The eviction's messages name this node as requester (a recalled
+        // L1, for its own recall), issued now; `send` reads nothing else.
+        let about = ProtocolMsg {
+            addr: victim.addr,
+            kind: MsgKind::PutL2,
+            src: Agent::l2(self.node),
+            dst: Agent::l2(self.node),
+            requester: self.node,
+            issued_at: now,
+        };
         // Inclusive L2: recall L1 copies (fire and forget).
         for l1 in victim.meta.sharers.iter() {
             self.stats.invalidations += 1;
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg {
-                    addr: victim.addr,
-                    kind: MsgKind::InvL1,
-                    src: Agent::l2(self.node),
-                    dst: Agent::l1(l1),
-                    requester: l1,
-                    issued_at: now,
-                },
-            ));
+            let recall = ProtocolMsg {
+                requester: l1,
+                ..about
+            };
+            self.send(out, self.lat(), &recall, MsgKind::InvL1, Agent::l1(l1));
         }
         if self.org.uses_ivr() && victim.meta.state.is_valid() && chain_hop < self.cfg.ivr_threshold
         {
@@ -856,55 +724,37 @@ impl L2Controller {
             self.stats.ivr_migrations += 1;
             self.stats.l2_data_reads += 1;
             let dst = self.random_other_home(victim.addr);
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg {
-                    addr: victim.addr,
-                    kind: MsgKind::IvrMigrate {
-                        state: victim.meta.state,
-                        last_access: self.quantize(victim.last_access),
-                        hop: chain_hop,
-                    },
-                    src: Agent::l2(self.node),
-                    dst: Agent::l2(dst),
-                    requester: self.node,
-                    issued_at: now,
-                },
-            ));
+            let migrate = MsgKind::IvrMigrate {
+                state: victim.meta.state,
+                last_access: self.quantize(victim.last_access),
+                hop: chain_hop,
+            };
+            self.send(out, self.lat(), &about, migrate, Agent::l2(dst));
             return;
         }
         if self.org.uses_ivr() && chain_hop >= self.cfg.ivr_threshold {
             self.stats.ivr_writebacks += 1;
         }
+        let controller = self.memmap.controller_for(victim.addr);
         if victim.meta.state.is_dirty() {
             // The dirty victim is read out for the off-chip writeback.
             self.stats.l2_data_reads += 1;
-            let mem = self.memmap.controller_for(victim.addr);
-            out.push(Outgoing::after(
+            self.send(
+                out,
                 self.lat(),
-                ProtocolMsg {
-                    addr: victim.addr,
-                    kind: MsgKind::MemWb,
-                    src: Agent::l2(self.node),
-                    dst: Agent::mem(mem),
-                    requester: self.node,
-                    issued_at: now,
-                },
-            ));
+                &about,
+                MsgKind::MemWb,
+                Agent::mem(controller),
+            );
         }
         if self.org.uses_global_directory() {
-            let dir = self.memmap.controller_for(victim.addr);
-            out.push(Outgoing::after(
+            self.send(
+                out,
                 self.lat(),
-                ProtocolMsg {
-                    addr: victim.addr,
-                    kind: MsgKind::PutL2,
-                    src: Agent::l2(self.node),
-                    dst: Agent::dir(dir),
-                    requester: self.node,
-                    issued_at: now,
-                },
-            ));
+                &about,
+                MsgKind::PutL2,
+                Agent::dir(controller),
+            );
         }
     }
 
@@ -954,34 +804,19 @@ impl L2Controller {
             if hop.saturating_add(1) >= self.cfg.ivr_threshold {
                 self.stats.ivr_writebacks += 1;
                 if state.is_dirty() {
-                    let mem = self.memmap.controller_for(msg.addr);
-                    out.push(Outgoing::after(
-                        self.lat(),
-                        ProtocolMsg::derived(
-                            &msg,
-                            MsgKind::MemWb,
-                            Agent::l2(self.node),
-                            Agent::mem(mem),
-                        ),
-                    ));
+                    let mem = Agent::mem(self.memmap.controller_for(msg.addr));
+                    self.send(out, self.lat(), &msg, MsgKind::MemWb, mem);
                 }
                 return;
             }
             let dst = self.random_other_home(msg.addr);
             self.stats.ivr_migrations += 1;
-            out.push(Outgoing::after(
-                self.lat(),
-                ProtocolMsg::derived(
-                    &msg,
-                    MsgKind::IvrMigrate {
-                        state,
-                        last_access,
-                        hop: hop.saturating_add(1),
-                    },
-                    Agent::l2(self.node),
-                    Agent::l2(dst),
-                ),
-            ));
+            let migrate = MsgKind::IvrMigrate {
+                state,
+                last_access,
+                hop: hop.saturating_add(1),
+            };
+            self.send(out, self.lat(), &msg, migrate, Agent::l2(dst));
         }
     }
 
@@ -1055,7 +890,7 @@ mod tests {
     use crate::msg::Unit;
 
     #[test]
-    fn vms_miss_broadcasts_then_falls_back_to_memory() {
+    fn vms_miss_sends_the_dram_read_with_the_broadcast_and_acks_add_nothing() {
         let org = Organization::loco(
             Mesh::new(8, 8),
             crate::organization::OrganizationKind::LocoCcVms,
@@ -1071,8 +906,9 @@ mod tests {
         assert_eq!(out[0].msg.kind, MsgKind::BcastGetS);
         assert_eq!(out[1].msg.kind, MsgKind::MemRead);
         assert_eq!(l2.stats().broadcasts, 1);
-        // Three remote home nodes reply "not owner": nothing more to do, the
-        // controller is already waiting for the (uncancelled) DRAM response.
+        // Three remote home nodes reply "not owner": nothing more to send,
+        // the controller is already waiting for the (uncancelled) DRAM
+        // response.
         let mut out = Vec::new();
         for i in 0..3 {
             let ack = ProtocolMsg {

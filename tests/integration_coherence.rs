@@ -29,6 +29,7 @@ struct Testbench {
 impl Testbench {
     fn new(org: Organization) -> Self {
         let memmap = MemoryMap::asplos(org.mesh());
+        let mem = MemoryConfig::default();
         let n = org.mesh().len();
         Testbench {
             org,
@@ -49,12 +50,17 @@ impl Testbench {
             dirs: memmap
                 .controllers()
                 .iter()
-                .map(|&c| (c, DirectoryController::new(c, DirectoryConfig::default())))
+                .map(|&c| {
+                    (
+                        c,
+                        DirectoryController::new(c, DirectoryConfig::default(), mem.latency),
+                    )
+                })
                 .collect(),
             mems: memmap
                 .controllers()
                 .iter()
-                .map(|&c| (c, MemoryController::new(c, MemoryConfig::default())))
+                .map(|&c| (c, MemoryController::new(c, mem)))
                 .collect(),
             queue: VecDeque::new(),
             time: 0,
