@@ -736,25 +736,14 @@ impl L2Controller {
             self.stats.ivr_writebacks += 1;
         }
         let controller = self.memmap.controller_for(victim.addr);
+        let (mem, dir) = (Agent::mem(controller), Agent::dir(controller));
         if victim.meta.state.is_dirty() {
             // The dirty victim is read out for the off-chip writeback.
             self.stats.l2_data_reads += 1;
-            self.send(
-                out,
-                self.lat(),
-                &about,
-                MsgKind::MemWb,
-                Agent::mem(controller),
-            );
+            self.send(out, self.lat(), &about, MsgKind::MemWb, mem);
         }
         if self.org.uses_global_directory() {
-            self.send(
-                out,
-                self.lat(),
-                &about,
-                MsgKind::PutL2,
-                Agent::dir(controller),
-            );
+            self.send(out, self.lat(), &about, MsgKind::PutL2, dir);
         }
     }
 
