@@ -10,6 +10,11 @@
 
 use std::fmt;
 
+/// Cache-line size in bytes (Table 1: 32-byte lines). A power of two, so
+/// the block offset is the low `LINE_BYTES.trailing_zeros()` address bits.
+pub const LINE_BYTES: u32 = 32;
+const _: () = assert!(LINE_BYTES.is_power_of_two());
+
 /// A full byte address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Address(pub u64);
@@ -19,24 +24,16 @@ pub struct Address(pub u64);
 pub struct LineAddr(pub u64);
 
 impl Address {
-    /// The line containing this address, for `line_bytes`-byte lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` is not a power of two.
-    pub fn line(self, line_bytes: u32) -> LineAddr {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        LineAddr(self.0 >> line_bytes.trailing_zeros())
+    /// The line containing this address.
+    pub fn line(self) -> LineAddr {
+        LineAddr(self.0 >> LINE_BYTES.trailing_zeros())
     }
 }
 
 impl LineAddr {
     /// The first byte address of this line.
-    pub fn base(self, line_bytes: u32) -> Address {
-        Address(self.0 << line_bytes.trailing_zeros())
+    pub fn base(self) -> Address {
+        Address(self.0 << LINE_BYTES.trailing_zeros())
     }
 
     /// The `HNid` field: the least-significant `bits` bits of the line
@@ -92,8 +89,8 @@ mod tests {
     #[test]
     fn line_extraction_strips_offset() {
         let a = Address(0x1234);
-        assert_eq!(a.line(32), LineAddr(0x1234 >> 5));
-        assert_eq!(a.line(32).base(32), Address(0x1220));
+        assert_eq!(a.line(), LineAddr(0x1234 >> 5));
+        assert_eq!(a.line().base(), Address(0x1220));
     }
 
     #[test]
@@ -116,11 +113,5 @@ mod tests {
                 | l.hnid(hnid_bits);
             assert_eq!(rebuilt, raw);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_line_size_panics() {
-        Address(0).line(48);
     }
 }

@@ -2,17 +2,15 @@
 //! last-access timestamps (the timestamps drive both LRU and the
 //! inter-cluster victim-replacement age comparison of Section 3.3).
 
-use crate::address::LineAddr;
+use crate::address::{LineAddr, LINE_BYTES};
 
-/// Geometry of a cache array.
+/// Geometry of a cache array of [`LINE_BYTES`]-byte lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: u32,
     /// Access latency in cycles.
     pub latency: u64,
 }
@@ -24,33 +22,30 @@ impl CacheGeometry {
     ///
     /// Panics if the geometry does not yield at least one full set.
     pub fn sets(&self) -> usize {
-        let lines = (self.size_bytes / self.line_bytes as u64) as usize;
+        let lines = (self.size_bytes / u64::from(LINE_BYTES)) as usize;
         assert!(
             lines >= self.ways && lines.is_multiple_of(self.ways),
-            "cache of {} bytes with {}-byte lines cannot be {}-way",
+            "cache of {} bytes with {LINE_BYTES}-byte lines cannot be {}-way",
             self.size_bytes,
-            self.line_bytes,
             self.ways
         );
         lines / self.ways
     }
 
-    /// Paper L1: 16 KB, 4-way, 32 B lines, 1-cycle access.
+    /// Paper L1: 16 KB, 4-way, 1-cycle access.
     pub fn asplos_l1() -> Self {
         CacheGeometry {
             size_bytes: 16 * 1024,
             ways: 4,
-            line_bytes: 32,
             latency: 1,
         }
     }
 
-    /// Paper L2 slice: 64 KB, 8-way, 32 B lines, 4-cycle access.
+    /// Paper L2 slice: 64 KB, 8-way, 4-cycle access.
     pub fn asplos_l2() -> Self {
         CacheGeometry {
             size_bytes: 64 * 1024,
             ways: 8,
-            line_bytes: 32,
             latency: 4,
         }
     }
@@ -186,9 +181,8 @@ mod tests {
 
     fn small() -> CacheGeometry {
         CacheGeometry {
-            size_bytes: 4 * 32 * 2, // 2 sets, 4 ways
+            size_bytes: 4 * 2 * u64::from(LINE_BYTES), // 2 sets, 4 ways
             ways: 4,
-            line_bytes: 32,
             latency: 1,
         }
     }

@@ -21,18 +21,8 @@ use loco_noc::FxHashMap;
 use loco_noc::NodeId;
 use std::collections::VecDeque;
 
-/// Timing parameters of the directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirectoryConfig {
-    /// Directory access latency (Table 1: 10 cycles).
-    pub latency: u64,
-}
-
-impl Default for DirectoryConfig {
-    fn default() -> Self {
-        DirectoryConfig { latency: 10 }
-    }
-}
+/// Directory access latency in cycles (Table 1: 10 cycles).
+pub const DIRECTORY_LATENCY: u64 = 10;
 
 #[derive(Debug, Default)]
 struct DirEntry {
@@ -46,7 +36,6 @@ struct DirEntry {
 #[derive(Debug)]
 pub struct DirectoryController {
     node: NodeId,
-    cfg: DirectoryConfig,
     /// DRAM latency charged when the directory itself fetches a line.
     mem_latency: u64,
     entries: FxHashMap<LineAddr, DirEntry>,
@@ -56,10 +45,9 @@ pub struct DirectoryController {
 impl DirectoryController {
     /// Creates the directory slice at `node`, next to a memory controller
     /// whose DRAM latency is `mem_latency`.
-    pub fn new(node: NodeId, cfg: DirectoryConfig, mem_latency: u64) -> Self {
+    pub fn new(node: NodeId, mem_latency: u64) -> Self {
         DirectoryController {
             node,
-            cfg,
             mem_latency,
             entries: FxHashMap::default(),
             stats: CacheStats::default(),
@@ -106,7 +94,7 @@ impl DirectoryController {
 
     fn handle_get(&mut self, msg: ProtocolMsg, is_write: bool, out: &mut Vec<Outgoing>) {
         let requester_l2 = msg.src.node;
-        let lat = self.cfg.latency;
+        let lat = DIRECTORY_LATENCY;
         let mem_lat = self.mem_latency;
         let me = Agent::dir(self.node);
         let send = |out: &mut Vec<Outgoing>, delay: u64, kind: MsgKind, dst: NodeId| {
@@ -182,7 +170,7 @@ mod tests {
     use super::*;
 
     fn dir() -> DirectoryController {
-        DirectoryController::new(NodeId(4), DirectoryConfig::default(), 200)
+        DirectoryController::new(NodeId(4), 200)
     }
 
     fn get(addr: u64, from_l2: u16, write: bool) -> ProtocolMsg {

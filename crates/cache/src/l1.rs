@@ -107,7 +107,7 @@ impl L1Controller {
         if self.mshr.is_some() {
             return L1Access::Busy;
         }
-        let line = addr.line(self.array.geometry().line_bytes);
+        let line = addr.line();
         let set = self.set_of(line);
         self.stats.l1_accesses += 1;
         self.stats.l1_tag_probes += 1;
@@ -266,7 +266,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].msg.kind, MsgKind::GetS);
         assert!(c.is_blocked());
-        let f = fill(&mut c, Address(0x1000).line(32), false, 10).unwrap();
+        let f = fill(&mut c, Address(0x1000).line(), false, 10).unwrap();
         assert_eq!(f.issued_at, 0);
         assert_eq!(f.completed_at, 10);
         assert!(!c.is_blocked());
@@ -286,12 +286,12 @@ mod tests {
         let mut c = l1();
         let mut out = Vec::new();
         c.access(Address(0x2000), false, 0, &mut out);
-        fill(&mut c, Address(0x2000).line(32), false, 5);
+        fill(&mut c, Address(0x2000).line(), false, 5);
         // A store to the S line is a miss (upgrade).
         let mut out = Vec::new();
         assert_eq!(c.access(Address(0x2000), true, 6, &mut out), L1Access::Miss);
         assert_eq!(out[0].msg.kind, MsgKind::GetM);
-        fill(&mut c, Address(0x2000).line(32), true, 20);
+        fill(&mut c, Address(0x2000).line(), true, 20);
         // Now stores hit.
         let mut out = Vec::new();
         assert_eq!(c.access(Address(0x2000), true, 21, &mut out), L1Access::Hit);
@@ -313,9 +313,9 @@ mod tests {
         let mut c = l1();
         let mut out = Vec::new();
         c.access(Address(0x3000), true, 0, &mut out);
-        fill(&mut c, Address(0x3000).line(32), true, 5);
+        fill(&mut c, Address(0x3000).line(), true, 5);
         let inv = ProtocolMsg {
-            addr: Address(0x3000).line(32),
+            addr: Address(0x3000).line(),
             kind: MsgKind::InvL1,
             src: Agent::l2(NodeId(0)),
             dst: Agent::l1(NodeId(9)),
@@ -361,7 +361,7 @@ mod tests {
             let addr = Address((i * sets) * 32); // same set 0
             let mut out = Vec::new();
             if c.access(addr, true, i * 10, &mut out) == L1Access::Miss {
-                let f = fill(&mut c, addr.line(32), true, i * 10 + 5);
+                let f = fill(&mut c, addr.line(), true, i * 10 + 5);
                 assert!(f.is_some());
                 fills += 1;
             }

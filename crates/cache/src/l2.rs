@@ -22,6 +22,10 @@ use crate::stats::CacheStats;
 use loco_noc::FxHashMap;
 use loco_noc::{NodeId, SplitMix64};
 
+/// Quantum, in cycles, of the coarse IVR timestamps (the paper increments a
+/// counter every T cycles).
+const TIMESTAMP_QUANTUM: u64 = 64;
+
 /// Tunables of the home-node controller beyond the array geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Config {
@@ -29,9 +33,6 @@ pub struct L2Config {
     pub geometry: CacheGeometry,
     /// IVR migration-chain threshold (the paper uses 4).
     pub ivr_threshold: u8,
-    /// Quantum, in cycles, of the coarse IVR timestamps (the paper
-    /// increments a counter every T cycles).
-    pub timestamp_quantum: u64,
 }
 
 impl Default for L2Config {
@@ -39,7 +40,6 @@ impl Default for L2Config {
         L2Config {
             geometry: CacheGeometry::asplos_l2(),
             ivr_threshold: 4,
-            timestamp_quantum: 64,
         }
     }
 }
@@ -184,7 +184,7 @@ impl L2Controller {
     }
 
     fn quantize(&self, t: u64) -> u64 {
-        (t / self.cfg.timestamp_quantum) * self.cfg.timestamp_quantum
+        (t / TIMESTAMP_QUANTUM) * TIMESTAMP_QUANTUM
     }
 
     /// Sends `kind` from this L2 to `dst` after `delay` cycles. The line,

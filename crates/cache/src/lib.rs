@@ -49,9 +49,9 @@ pub mod msg;
 pub mod organization;
 pub mod stats;
 
-pub use address::{Address, LineAddr};
+pub use address::{Address, LineAddr, LINE_BYTES};
 pub use array::{CacheArray, CacheGeometry, Entry, Eviction};
-pub use directory::{DirectoryConfig, DirectoryController};
+pub use directory::{DirectoryController, DIRECTORY_LATENCY};
 pub use l1::{L1Access, L1Controller, L1Fill};
 pub use l2::{L2Config, L2Controller, L2Meta};
 pub use line::{MoesiState, MsiState, SharerSet};

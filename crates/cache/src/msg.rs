@@ -6,7 +6,7 @@
 //! issue time so that end-to-end latency statistics can be attributed at the
 //! point of completion.
 
-use crate::address::LineAddr;
+use crate::address::{LineAddr, LINE_BYTES};
 use crate::line::MoesiState;
 use loco_noc::{NodeId, VirtualNetwork};
 
@@ -208,14 +208,15 @@ impl MsgKind {
         }
     }
 
-    /// Message size on the wire: an 8-byte control header, plus the 32-byte
-    /// line for data-carrying messages (Table 1: 32-byte lines, 16-byte
-    /// links, so data messages are 3 flits and control messages 1).
+    /// Message size on the wire: an 8-byte control header, plus the
+    /// [`LINE_BYTES`]-byte line for data-carrying messages (on Table 1's
+    /// 16-byte links, data messages are 3 flits and control messages 1).
     pub fn size_bytes(self) -> u32 {
+        const HEADER_BYTES: u32 = 8;
         if self.carries_data() {
-            40
+            HEADER_BYTES + LINE_BYTES
         } else {
-            8
+            HEADER_BYTES
         }
     }
 }

@@ -290,19 +290,6 @@ impl MemoryMap {
         }
     }
 
-    /// A custom placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `controllers` is empty.
-    pub fn new(controllers: Vec<NodeId>) -> Self {
-        assert!(
-            !controllers.is_empty(),
-            "at least one memory controller required"
-        );
-        MemoryMap { controllers }
-    }
-
     /// All memory-controller nodes.
     pub fn controllers(&self) -> &[NodeId] {
         &self.controllers

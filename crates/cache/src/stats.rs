@@ -133,24 +133,6 @@ impl CacheStats {
     pub fn offchip_accesses(&self) -> u64 {
         self.offchip_fetches + self.offchip_writebacks
     }
-
-    /// L1 hit rate.
-    pub fn l1_hit_rate(&self) -> f64 {
-        if self.l1_accesses == 0 {
-            0.0
-        } else {
-            self.l1_hits as f64 / self.l1_accesses as f64
-        }
-    }
-
-    /// Home-L2 hit rate.
-    pub fn l2_hit_rate(&self) -> f64 {
-        if self.l2_accesses == 0 {
-            0.0
-        } else {
-            self.l2_hits as f64 / self.l2_accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,15 +150,12 @@ mod tests {
             search_delay_count: 50,
             offchip_fetches: 30,
             offchip_writebacks: 10,
-            l1_accesses: 1000,
-            l1_hits: 900,
             ..CacheStats::default()
         };
         assert_eq!(s.l2_mpki(), 5.0);
         assert_eq!(s.avg_l2_hit_latency(), 9.0);
         assert_eq!(s.avg_search_delay(), 80.0);
         assert_eq!(s.offchip_accesses(), 40);
-        assert!((s.l1_hit_rate() - 0.9).abs() < 1e-12);
     }
 
     #[test]
@@ -185,8 +164,6 @@ mod tests {
         assert_eq!(s.l2_mpki(), 0.0);
         assert_eq!(s.avg_l2_hit_latency(), 0.0);
         assert_eq!(s.avg_search_delay(), 0.0);
-        assert_eq!(s.l1_hit_rate(), 0.0);
-        assert_eq!(s.l2_hit_rate(), 0.0);
     }
 
     #[test]

@@ -6,16 +6,15 @@
 
 use loco_cache::{
     Address, CacheArray, CacheGeometry, ClusterShape, Eviction, LineAddr, Organization,
-    OrganizationKind, SharerSet,
+    OrganizationKind, SharerSet, LINE_BYTES,
 };
 use loco_noc::{Mesh, NodeId, SplitMix64};
 use std::collections::HashSet;
 
 fn small_geometry(ways: usize, sets: usize) -> CacheGeometry {
     CacheGeometry {
-        size_bytes: (ways * sets * 32) as u64,
+        size_bytes: (ways * sets) as u64 * u64::from(LINE_BYTES),
         ways,
-        line_bytes: 32,
         latency: 1,
     }
 }
@@ -132,7 +131,7 @@ fn home_node_mapping_respects_clusters() {
         let requester = rng.next_below(64) as u16;
         let shape = shapes[rng.index(shapes.len())];
         let org = Organization::loco(Mesh::new(8, 8), OrganizationKind::LocoCcVms, shape);
-        let line = Address(addr).line(32);
+        let line = Address(addr).line();
         let home = org.home_node(NodeId(requester), line);
         assert_eq!(
             org.cluster_of(home),
@@ -156,7 +155,7 @@ fn address_decomposition_is_lossless() {
         let raw = rng.next_u64();
         let hnid_bits = rng.next_below(7) as u32;
         let sets = 1usize << rng.next_below(10);
-        let line = Address(raw).line(32);
+        let line = Address(raw).line();
         let rebuilt = ((line.tag(hnid_bits, sets) * sets as u64
             + line.set_index(hnid_bits, sets) as u64)
             << hnid_bits)

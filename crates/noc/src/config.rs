@@ -3,6 +3,13 @@
 
 use crate::topology::Mesh;
 
+/// Link width in bytes (Table 1: 16-byte links).
+pub const LINK_BYTES: u32 = 16;
+
+/// Buffer capacity, in packets, of one input port for one virtual network:
+/// Table 1's 4 VCs per VN, each 4 packets deep.
+pub const LANE_PACKETS: usize = 16;
+
 /// Which router micro-architecture the network uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouterKind {
@@ -31,9 +38,9 @@ impl RouterKind {
 
 /// Full configuration of a [`crate::Network`].
 ///
-/// The defaults (via the `smart_mesh` / `conventional_mesh` / `highradix_mesh`
-/// constructors) correspond to Table 1 of the paper: 5 virtual networks,
-/// 4 VCs per VN, 16-byte links, `HPCmax` = 4.
+/// The `smart_mesh` / `conventional_mesh` / `highradix_mesh` constructors
+/// pick the router; the rest of Table 1 (5 virtual networks, [`LANE_PACKETS`]
+/// of buffering per VN, [`LINK_BYTES`]-byte links) is fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NocConfig {
     /// Mesh dimensions.
@@ -42,12 +49,6 @@ pub struct NocConfig {
     pub router: RouterKind,
     /// Maximum hops per cycle for SMART / express-link reach for high-radix.
     pub hpc_max: u16,
-    /// Virtual channels per virtual network. Table 1: 4.
-    pub vcs_per_vn: u8,
-    /// Buffer depth, in packets, of each VC.
-    pub vc_depth: u8,
-    /// Link width in bytes. Table 1: 16.
-    pub link_bytes: u32,
 }
 
 impl NocConfig {
@@ -57,9 +58,6 @@ impl NocConfig {
             mesh: Mesh::new(width, height),
             router: RouterKind::Smart,
             hpc_max,
-            vcs_per_vn: 4,
-            vc_depth: 4,
-            link_bytes: 16,
         }
     }
 
@@ -93,13 +91,7 @@ impl NocConfig {
     /// Number of flits a message of `bytes` bytes occupies on this network's
     /// links (at least one).
     pub fn flits_for(&self, bytes: u32) -> u32 {
-        bytes.div_ceil(self.link_bytes).max(1)
-    }
-
-    /// Total buffer capacity (in packets) of one input port for one virtual
-    /// network.
-    pub fn vn_buffer_capacity(&self) -> usize {
-        self.vcs_per_vn as usize * self.vc_depth as usize
+        bytes.div_ceil(LINK_BYTES).max(1)
     }
 
     /// Validates internal consistency.
@@ -110,12 +102,6 @@ impl NocConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.hpc_max == 0 {
             return Err("hpc_max must be at least 1".into());
-        }
-        if self.vcs_per_vn == 0 || self.vc_depth == 0 {
-            return Err("virtual channel count and depth must be non-zero".into());
-        }
-        if self.link_bytes == 0 {
-            return Err("link width must be non-zero".into());
         }
         Ok(())
     }
@@ -130,8 +116,8 @@ mod tests {
     fn table1_defaults() {
         let c = NocConfig::smart_mesh(8, 8, 4);
         assert_eq!(VirtualNetwork::ALL.len(), 5);
-        assert_eq!(c.vcs_per_vn, 4);
-        assert_eq!(c.link_bytes, 16);
+        assert_eq!(LANE_PACKETS, 4 * 4); // 4 VCs per VN, 4 packets deep
+        assert_eq!(LINK_BYTES, 16);
         assert_eq!(c.hpc_max, 4);
         assert!(c.validate().is_ok());
     }

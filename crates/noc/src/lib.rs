@@ -17,11 +17,11 @@
 //!   data search.
 //!
 //! The model is packet-granular: each [`NetMessage`] occupies an output link
-//! for `size_flits` cycles (serialization), and head-latency is modelled
-//! cycle by cycle through router buffers, switch allocation, SSR arbitration
-//! and link traversal. This mirrors GARNET's behaviour closely enough to
-//! reproduce the latency/contention trends of the paper while keeping the
-//! simulator tractable (see `DESIGN.md` §9).
+//! for [`NocConfig::flits_for`]`(size_bytes)` cycles (serialization), and
+//! head-latency is modelled cycle by cycle through router buffers, switch
+//! allocation, SSR arbitration and link traversal. This mirrors GARNET's
+//! behaviour closely enough to reproduce the latency/contention trends of
+//! the paper while keeping the simulator tractable (see `DESIGN.md` §9).
 //!
 //! The three router kinds are one concrete [`router::Fabric`] over one
 //! [`router::RouterCore`]. The core holds the buffers, the arbiters and the

@@ -404,6 +404,7 @@ impl<P> fmt::Debug for Network<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{LANE_PACKETS, LINK_BYTES};
     use crate::message::VirtualNetwork;
     use crate::topology::{Coord, Mesh};
     use crate::vms::VirtualMesh;
@@ -574,7 +575,7 @@ mod tests {
                 }
             }
         }
-        assert!(accepted >= cfg.vn_buffer_capacity() as u64);
+        assert!(accepted >= LANE_PACKETS as u64);
         assert!(accepted < 1000);
     }
 
@@ -646,7 +647,7 @@ mod tests {
     fn a_wheel_release_precedes_a_next_cycle_arrival_at_the_same_receiver() {
         let cfg = NocConfig::smart_mesh(4, 4, 4);
         let mut net: Network<u32> = Network::new(cfg);
-        send(&mut net, 4, 5, 5 * cfg.link_bytes, 5);
+        send(&mut net, 4, 5, 5 * LINK_BYTES, 5);
         while net.pending.is_empty() {
             net.tick();
         }

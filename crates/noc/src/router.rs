@@ -18,7 +18,7 @@
 //! each lane also caches a copy of its front, so the per-cycle scan reads
 //! one flat array per router and never divides or follows a queue pointer.
 
-use crate::config::{NocConfig, RouterKind};
+use crate::config::{NocConfig, RouterKind, LANE_PACKETS};
 use crate::hop::HopEngine;
 use crate::message::VirtualNetwork;
 use crate::smart::SmartEngine;
@@ -202,8 +202,8 @@ pub fn lane(port: usize, vn: VirtualNetwork) -> usize {
 }
 
 /// Input buffers of one router: one FIFO per lane. Capacity is
-/// `vcs_per_vn * vc_depth` packets per FIFO, mirroring the VC organization
-/// of Table 1 at packet granularity.
+/// [`LANE_PACKETS`] packets per FIFO in the fabrics, mirroring the VC
+/// organization of Table 1 at packet granularity.
 #[derive(Debug, Clone)]
 pub struct InputBuffers {
     queues: Vec<VecDeque<Buffered>>,
@@ -420,7 +420,7 @@ impl RouterCore {
             links: LinkOccupancy::new(nodes, routes.links_per_node()),
             routes,
             buffers: (0..nodes)
-                .map(|_| InputBuffers::new(cfg.vn_buffer_capacity()))
+                .map(|_| InputBuffers::new(LANE_PACKETS))
                 .collect(),
             active: ActiveSet::new(nodes),
             arbiters: vec![RoundRobin::new(); nodes * 4],
@@ -533,7 +533,6 @@ impl RouterCore {
 /// this cycle.
 #[derive(Debug)]
 pub struct Backpressure {
-    capacity: usize,
     /// Whether a head landing at its destination skips the check (it ejects
     /// instead of being buffered).
     exempt_dest: bool,
@@ -547,7 +546,6 @@ impl Backpressure {
     /// Back-pressure state for `cfg`'s mesh.
     pub fn new(cfg: &NocConfig, exempt_dest: bool) -> Self {
         Backpressure {
-            capacity: cfg.vn_buffer_capacity(),
             exempt_dest,
             reserved: vec![0; cfg.mesh.len() * LANES],
             dirty: Vec::new(),
@@ -566,7 +564,7 @@ impl Backpressure {
     pub(crate) fn has_room(&self, buffers: &[InputBuffers], head: &Buffered) -> bool {
         let (at, l) = Self::slot(head);
         (self.exempt_dest && head.route.landing == head.flight.dest)
-            || buffers[at].occupancy(l) + usize::from(self.reserved[at * LANES + l]) < self.capacity
+            || buffers[at].occupancy(l) + usize::from(self.reserved[at * LANES + l]) < LANE_PACKETS
     }
 
     /// Reserves the landing slot of a winning `head` for the rest of this

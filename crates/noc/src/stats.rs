@@ -117,16 +117,6 @@ impl NetworkStats {
         }
     }
 
-    /// Average latency on one virtual network.
-    pub fn avg_latency_vn(&self, vn: VirtualNetwork) -> f64 {
-        let n = self.per_vn_delivered[vn.index()];
-        if n == 0 {
-            0.0
-        } else {
-            self.per_vn_latency[vn.index()] as f64 / n as f64
-        }
-    }
-
     /// Average number of router stops per delivered copy.
     pub fn avg_stops(&self) -> f64 {
         if self.delivered_copies == 0 {
@@ -196,8 +186,12 @@ mod tests {
         assert_eq!(s.avg_latency(), 15.0);
         assert_eq!(s.avg_stops(), 3.0);
         assert_eq!(s.max_latency, 20);
-        assert_eq!(s.avg_latency_vn(VirtualNetwork::Request), 10.0);
-        assert_eq!(s.avg_latency_vn(VirtualNetwork::Forward), 0.0);
+        let (req, fwd) = (
+            VirtualNetwork::Request.index(),
+            VirtualNetwork::Forward.index(),
+        );
+        assert_eq!((s.per_vn_delivered[req], s.per_vn_latency[req]), (1, 10));
+        assert_eq!((s.per_vn_delivered[fwd], s.per_vn_latency[fwd]), (0, 0));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The target-system configuration of Table 1 and its builders.
 
 use loco_cache::{
-    CacheGeometry, ClusterShape, DirectoryConfig, L2Config, MemoryConfig, MemoryMap, Organization,
-    OrganizationKind,
+    CacheGeometry, ClusterShape, L2Config, MemoryConfig, MemoryMap, Organization, OrganizationKind,
 };
 use loco_noc::{Mesh, NocConfig, RouterKind};
 
@@ -11,9 +10,12 @@ use loco_noc::{Mesh, NocConfig, RouterKind};
 /// The `asplos_64` constructor reproduces Table 1 of the paper: 2-way
 /// in-order cores, 16 KB 4-way L1s (1 cycle), 64 KB 8-way inclusive L2
 /// slices (4 cycles), MSI/MOESI coherence, an 8x8 mesh (set `mesh_width` /
-/// `mesh_height` for the 16x16 CMP) with 5 VNs x 4 VCs and 16-byte links,
-/// `HPCmax` = 4, a 10-cycle directory and four 200-cycle memory controllers
-/// on the chip edges.
+/// `mesh_height` for the 16x16 CMP), `HPCmax` = 4 and four 200-cycle memory
+/// controllers on the chip edges. The Table-1 values no figure varies are
+/// constants, not fields: [`loco_cache::LINE_BYTES`] (32-byte lines),
+/// [`loco_noc::config::LINK_BYTES`] (16-byte links),
+/// [`loco_noc::config::LANE_PACKETS`] (5 VNs x 4 VCs x 4 packets of input
+/// buffering) and [`loco_cache::DIRECTORY_LATENCY`] (a 10-cycle directory).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Mesh width in tiles.
@@ -32,8 +34,6 @@ pub struct SystemConfig {
     pub l1: CacheGeometry,
     /// L2 slice configuration.
     pub l2: L2Config,
-    /// Global directory configuration.
-    pub dir: DirectoryConfig,
     /// Memory-controller configuration.
     pub mem: MemoryConfig,
     /// Model barrier synchronization (full-system replay mode).
@@ -52,7 +52,6 @@ impl SystemConfig {
             hpc_max: 4,
             l1: CacheGeometry::asplos_l1(),
             l2: L2Config::default(),
-            dir: DirectoryConfig::default(),
             mem: MemoryConfig::default(),
             full_system: false,
         }
@@ -121,6 +120,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loco_cache::MsgKind;
 
     #[test]
     fn table1_64_core_configuration() {
@@ -132,15 +132,18 @@ mod tests {
         assert_eq!(c.l2.geometry.size_bytes, 64 * 1024);
         assert_eq!(c.l2.geometry.ways, 8);
         assert_eq!(c.l2.geometry.latency, 4);
-        assert_eq!(c.l1.line_bytes, 32);
-        assert_eq!(c.dir.latency, 10);
         assert_eq!(c.mem.latency, 200);
         assert_eq!(c.hpc_max, 4);
         assert_eq!(c.memory_map().controllers().len(), 4);
-        let noc = c.noc_config();
         assert_eq!(loco_noc::VirtualNetwork::ALL.len(), 5);
-        assert_eq!(noc.vcs_per_vn, 4);
-        assert_eq!(noc.link_bytes, 16);
+        assert_eq!(loco_cache::LINE_BYTES, 32);
+        assert_eq!(loco_noc::config::LINK_BYTES, 16);
+        assert_eq!(loco_noc::config::LANE_PACKETS, 16);
+        assert_eq!(loco_cache::DIRECTORY_LATENCY, 10);
+        // A data-carrying message is 3 flits, a control message 1.
+        let noc = c.noc_config();
+        assert_eq!(noc.flits_for(MsgKind::OwnerData.size_bytes()), 3);
+        assert_eq!(noc.flits_for(MsgKind::GetS.size_bytes()), 1);
     }
 
     #[test]

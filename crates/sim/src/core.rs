@@ -6,7 +6,7 @@
 //! until the L1 fill returns), which preserves the property the evaluation
 //! depends on: run time is compute time plus exposed memory latency.
 
-use loco_cache::{Address, L1Access, L1Controller, Outgoing};
+use loco_cache::{Address, L1Access, L1Controller, Outgoing, LINE_BYTES};
 use loco_noc::NodeId;
 use loco_workloads::{CoreTrace, TraceCursor, TraceOp};
 
@@ -105,9 +105,10 @@ impl CoreModel {
         self.instructions += 1;
     }
 
-    /// The flag address used for barrier `id` of this core's group.
+    /// The flag address used for barrier `id` of this core's group: one
+    /// line per barrier.
     pub fn barrier_flag_address(group: usize, id: u32) -> Address {
-        Address(BARRIER_FLAG_BASE + ((group as u64) << 24) + u64::from(id) * 32)
+        Address(BARRIER_FLAG_BASE + ((group as u64) << 24) + u64::from(id) * u64::from(LINE_BYTES))
     }
 
     /// Notification that the outstanding L1 miss completed.
@@ -247,7 +248,7 @@ mod tests {
 
     fn fill_l1(c: &mut L1Controller, addr: u64, now: u64) {
         let msg = ProtocolMsg {
-            addr: Address(addr).line(32),
+            addr: Address(addr).line(),
             kind: MsgKind::DataS(ResponseSource::Home),
             src: Agent::l2(NodeId(1)),
             dst: Agent::l1(NodeId(0)),
@@ -357,8 +358,8 @@ mod tests {
                 CoreStatus::Stalled
             );
             let line = match op {
-                TraceOp::Barrier(id) => CoreModel::barrier_flag_address(0, id).line(32),
-                _ => Address(0x1000).line(32),
+                TraceOp::Barrier(id) => CoreModel::barrier_flag_address(0, id).line(),
+                _ => Address(0x1000).line(),
             };
             assert_eq!(
                 out[0].msg.addr, line,
@@ -373,7 +374,7 @@ mod tests {
         let a = CoreModel::barrier_flag_address(0, 1);
         let b = CoreModel::barrier_flag_address(1, 1);
         let c = CoreModel::barrier_flag_address(0, 2);
-        assert_ne!(a.line(32), b.line(32));
-        assert_ne!(a.line(32), c.line(32));
+        assert_ne!(a.line(), b.line());
+        assert_ne!(a.line(), c.line());
     }
 }

@@ -31,15 +31,6 @@ pub struct SimResults {
 }
 
 impl SimResults {
-    /// Instructions per cycle across the whole chip.
-    pub fn ipc(&self) -> f64 {
-        if self.runtime_cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.runtime_cycles as f64
-        }
-    }
-
     /// This run's time normalized against a baseline run time
     /// (the y-axis of Figures 6, 11, 13, 15 and 16).
     pub fn runtime_normalized_to(&self, baseline: &SimResults) -> f64 {
@@ -69,7 +60,6 @@ mod tests {
     fn normalization_and_ipc() {
         let a = SimResults {
             runtime_cycles: 100,
-            instructions: 250,
             offchip_accesses: 10,
             ..SimResults::default()
         };
@@ -78,10 +68,8 @@ mod tests {
             offchip_accesses: 40,
             ..SimResults::default()
         };
-        assert!((a.ipc() - 2.5).abs() < 1e-12);
         assert!((b.runtime_normalized_to(&a) - 2.0).abs() < 1e-12);
         assert!((a.offchip_normalized_to(&b) - 0.25).abs() < 1e-12);
-        assert_eq!(SimResults::default().ipc(), 0.0);
         assert_eq!(a.runtime_normalized_to(&SimResults::default()), 0.0);
     }
 }

@@ -283,7 +283,7 @@ impl CmpSystem {
         }
         let dirs = ctrl_nodes
             .iter()
-            .map(|&n| DirectoryController::new(n, cfg.dir, cfg.mem.latency))
+            .map(|&n| DirectoryController::new(n, cfg.mem.latency))
             .collect();
         let mems = ctrl_nodes
             .iter()

@@ -70,6 +70,9 @@ if ./target/release/reproduce --params quick --threads 1000000 >/dev/null 2>targ
 fi
 grep -q "makes no sense" target/threads_err.txt || { echo "missing --threads error message"; exit 1; }
 
+echo "==> perfbench unit tests (its own package, so the workspace test run skips them)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> NoC-only benchmark at 8x8 (three fabrics, multicast + back-pressure; recorded fingerprints must match)"
 if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload noc_synth --seed 42 --seconds 1 --trace 0 > target/noc_synth.txt 2>target/noc_synth_err.txt \

@@ -6,9 +6,9 @@
 
 use loco::{Benchmark, OrganizationKind, SystemConfig};
 use loco_cache::{
-    Address, ClusterShape, DirectoryConfig, DirectoryController, L1Controller, L2Config,
-    L2Controller, MemoryConfig, MemoryController, MemoryMap, MoesiState, Organization,
-    OrganizationKind as Org, Outgoing, ProtocolMsg, Unit,
+    Address, ClusterShape, DirectoryController, L1Controller, L2Config, L2Controller, MemoryConfig,
+    MemoryController, MemoryMap, MoesiState, Organization, OrganizationKind as Org, Outgoing,
+    ProtocolMsg, Unit,
 };
 use loco_noc::{Mesh, NodeId};
 use std::collections::VecDeque;
@@ -50,12 +50,7 @@ impl Testbench {
             dirs: memmap
                 .controllers()
                 .iter()
-                .map(|&c| {
-                    (
-                        c,
-                        DirectoryController::new(c, DirectoryConfig::default(), mem.latency),
-                    )
-                })
+                .map(|&c| (c, DirectoryController::new(c, mem.latency)))
                 .collect(),
             mems: memmap
                 .controllers()
@@ -155,7 +150,7 @@ impl Testbench {
 
     /// All L2 slices holding `addr` and their states.
     fn holders(&self, addr: u64) -> Vec<(NodeId, MoesiState)> {
-        let line = Address(addr).line(32);
+        let line = Address(addr).line();
         self.l2s
             .iter()
             .filter_map(|l2| l2.line_state(line).map(|s| (l2.node(), s)))
